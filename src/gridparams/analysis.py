@@ -16,16 +16,13 @@ import numpy as np
 from .ingest import (
     DEFAULT_CLASS_KVS,
     DEFAULT_RATING_BOUNDS,
-    BranchKind,
     BranchRecord,
     RejectReason,
-    assign_voltage_class,
-    classify_branch,
+    _transformer_masks,
+    _voltage_class_index,
     filter_valid,
-    is_transformer,
     voltage_class_table,
 )
-from .per_unit import to_own_base, xr_ratio
 from .profiles import ObservedClassStats, ParameterKind, lookup
 from .stats import Binning, FreedmanDiaconis, band_fraction, histogram, pearson, spearman, summarize
 
@@ -69,52 +66,64 @@ def collect_samples(
     Transformers contribute own-base reactance (rebased by their rating),
     rating, and X/R; lines contribute common-base reactance, capacity, and
     X/R. Records matching no voltage class are counted, not errors.
+
+    Takes a BranchTable or any iterable of BranchRecord and works on whole
+    columns. Each sample keeps record order, and dict keys appear in the
+    order of the first record that fills them.
     """
     classes = voltage_class_table(class_kvs)
     outcome = filter_valid(records, rating_bounds)
+    table = outcome.kept
+    transformer, suspect = _transformer_masks(table, autotransformer_xr_threshold)
+    cls = _voltage_class_index(table, transformer, classes)
+    classified = cls >= 0
 
-    buckets: dict[tuple[ParameterKind, float], list[float]] = {}
-    triples: dict[float, tuple[list[float], list[float], list[float]]] = {}
-    suspects: dict[float, int] = {}
-    unclassified = 0
+    bad_base = np.flatnonzero(transformer & classified & ~(table.system_mva_base > 0))
+    if bad_base.size:
+        raise ValueError(
+            f"system_mva_base must be > 0, got {float(table.system_mva_base[bad_base[0]])}"
+        )
+    # Lines may carry any finite base; their x_own is computed and unused.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xr = table.x_pu / table.r_pu
+        x_own = table.x_pu * (table.mva_rating / table.system_mva_base)
 
-    def push(kind: ParameterKind, kv: float, value: float) -> None:
-        buckets.setdefault((kind, kv), []).append(value)
-
-    for record in outcome.kept:
-        kind = classify_branch(record, autotransformer_xr_threshold)
-        cls = assign_voltage_class(record, kind, classes)
-        if cls is None:
-            unclassified += 1
-            continue
-        kv = cls.nominal_kv
-        xr = xr_ratio(record.r_pu, record.x_pu)
-        if is_transformer(kind):
-            x_own = to_own_base(record.x_pu, record.system_mva_base, record.mva_rating)
-            push(ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, kv, x_own)
-            push(ParameterKind.TRANSFORMER_MVA_RATING, kv, record.mva_rating)
-            push(ParameterKind.TRANSFORMER_XR, kv, xr)
-            t = triples.setdefault(kv, ([], [], []))
-            t[0].append(x_own)
-            t[1].append(record.x_pu)
-            t[2].append(record.mva_rating)
-            if kind is BranchKind.AUTOTRANSFORMER_SUSPECT:
-                suspects[kv] = suspects.get(kv, 0) + 1
+    # One group of rows per (class, transformer or line), filled in order
+    # of the group's first row, as a loop over the records would fill them.
+    groups = []
+    for i in range(len(classes)):
+        in_class = cls == i
+        for is_transformer, mask in ((True, in_class & transformer), (False, in_class & ~transformer)):
+            rows = np.flatnonzero(mask)
+            if rows.size:
+                groups.append((rows[0], classes[i].nominal_kv, is_transformer, rows))
+    values: dict[tuple[ParameterKind, float], np.ndarray] = {}
+    triples: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for _, kv, is_transformer, rows in sorted(groups, key=lambda g: g[0]):
+        x, mva = table.x_pu[rows], table.mva_rating[rows]
+        if is_transformer:
+            own = x_own[rows]
+            values[(ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, kv)] = own
+            values[(ParameterKind.TRANSFORMER_MVA_RATING, kv)] = mva
+            values[(ParameterKind.TRANSFORMER_XR, kv)] = xr[rows]
+            triples[kv] = (own, x, mva)
         else:
-            push(ParameterKind.LINE_REACTANCE_COMMON_BASE, kv, record.x_pu)
-            push(ParameterKind.LINE_CAPACITY, kv, record.mva_rating)
-            push(ParameterKind.LINE_XR, kv, xr)
+            values[(ParameterKind.LINE_REACTANCE_COMMON_BASE, kv)] = x
+            values[(ParameterKind.LINE_CAPACITY, kv)] = mva
+            values[(ParameterKind.LINE_XR, kv)] = xr[rows]
 
+    flagged, first_flagged, n_flagged = np.unique(
+        cls[suspect & classified], return_index=True, return_counts=True
+    )
     return CollectedSamples(
-        values={k: np.asarray(v, dtype=float) for k, v in buckets.items()},
-        transformer_triples={
-            kv: tuple(np.asarray(col, dtype=float) for col in cols)
-            for kv, cols in triples.items()
-        },
-        kept=len(outcome.kept),
+        values=values,
+        transformer_triples=triples,
+        kept=len(table),
         rejected=outcome.rejected,
-        unclassified=unclassified,
-        suspect_counts=suspects,
+        unclassified=int(np.count_nonzero(~classified)),
+        suspect_counts={
+            classes[flagged[j]].nominal_kv: int(n_flagged[j]) for j in np.argsort(first_flagged)
+        },
     )
 
 

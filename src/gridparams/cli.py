@@ -147,13 +147,17 @@ def _binning(text: str):
         raise ValueError(f"--bins expects 'fd' or an integer >= 2, got {text!r}") from None
 
 
-def _load_records(args, inputs: dict) -> list:
+def _collect(args, inputs: dict):
+    """Read the --case or --branches input and collect its samples for the
+    --classes voltage classes: (class kVs, CollectedSamples)."""
     if args.case is not None:
         inputs[args.case] = _sha256(args.case)
         _, records = parse_matpower_case(Path(args.case).read_text(encoding="utf-8"))
-        return records
-    inputs[args.branches] = _sha256(args.branches)
-    return parse_branch_csv(Path(args.branches).read_bytes())
+    else:
+        inputs[args.branches] = _sha256(args.branches)
+        records = parse_branch_csv(Path(args.branches).read_bytes())
+    class_kvs = _parse_classes(args.classes)
+    return class_kvs, collect_samples(records, class_kvs)
 
 
 def _load_profile(spec: str, inputs: dict) -> list:
@@ -199,10 +203,8 @@ def _summary_dict(stats) -> dict:
 
 def _cmd_analyze(args) -> int:
     inputs: dict = {}
-    records = _load_records(args, inputs)
+    class_kvs, collected = _collect(args, inputs)
     profile = _load_profile(args.profile, inputs)
-    class_kvs = _parse_classes(args.classes)
-    collected = collect_samples(records, class_kvs)
     observed = observed_stats(collected, profile, binning=_binning(args.bins))
     decorr = decorrelation_stats(collected)
 
@@ -260,10 +262,8 @@ def _fit_entry(fit, score) -> dict:
 
 def _cmd_fit(args) -> int:
     inputs: dict = {}
-    records = _load_records(args, inputs)
-    class_kvs = _parse_classes(args.classes)
+    class_kvs, collected = _collect(args, inputs)
     binning = _binning(args.bins)
-    collected = collect_samples(records, class_kvs)
 
     fits_out: dict = {}
     for kv in class_kvs:
@@ -294,7 +294,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_validate(args) -> int:
     inputs: dict = {}
-    records = _load_records(args, inputs)
+    class_kvs, collected = _collect(args, inputs)
     profile = _load_profile(args.profile, inputs)
     thresholds = DEFAULT_THRESHOLDS
     if args.thresholds is not None:
@@ -302,8 +302,6 @@ def _cmd_validate(args) -> int:
         thresholds = thresholds_from_dict(
             json.loads(Path(args.thresholds).read_text(encoding="utf-8"))
         )
-    class_kvs = _parse_classes(args.classes)
-    collected = collect_samples(records, class_kvs)
     observed = observed_stats(collected, profile, binning=_binning(args.bins))
     decorr = spearman_own_by_class(decorrelation_stats(collected))
 
@@ -332,10 +330,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_hist(args) -> int:
     inputs: dict = {}
-    records = _load_records(args, inputs)
-    class_kvs = _parse_classes(args.classes)
+    _, collected = _collect(args, inputs)
     binning = _binning(args.bins)
-    collected = collect_samples(records, class_kvs)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +374,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

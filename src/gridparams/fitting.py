@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distributions import (
     FAMILIES,
@@ -138,6 +137,10 @@ def _scale_guess(x: np.ndarray) -> float:
 
 
 def _run_nelder_mead(objective, theta0, options: FitOptions):
+    # Imported here: scipy.optimize costs about a quarter second of import
+    # time, and only the t and GEV fits use it.
+    from scipy.optimize import minimize
+
     return minimize(
         objective,
         np.asarray(theta0, dtype=float),

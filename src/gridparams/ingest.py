@@ -15,12 +15,17 @@ import csv
 import io
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
+
+import numpy as np
 
 __all__ = [
     "ParseError",
     "BranchRecord",
+    "BranchTable",
     "BranchKind",
     "RejectReason",
     "VoltageClass",
@@ -123,54 +128,162 @@ class VoltageClass:
         return abs(kv - self.nominal_kv) <= self.tolerance_frac * self.nominal_kv
 
 
+_FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", "system_mva_base")
+_INT_FIELDS = ("from_bus", "to_bus")
+_COLUMNS = CSV_HEADER[1:]
+_INT64 = np.iinfo(np.int64)
+
+
+class BranchTable(Sequence):
+    """Branch rows stored column-wise: a list of ids plus one numpy column
+    per numeric BranchRecord field (int64 bus numbers, float64 otherwise).
+
+    Reads as a sequence of BranchRecord; a record is built only when a row
+    is indexed or iterated.
+    """
+
+    __slots__ = ("ids", *_COLUMNS)
+
+    def __init__(self, ids, **columns):
+        if set(columns) != set(_COLUMNS):
+            raise TypeError(f"BranchTable needs exactly the columns {_COLUMNS}")
+        self.ids = list(ids)
+        for name in _COLUMNS:
+            col = np.asarray(columns[name], dtype=np.int64 if name in _INT_FIELDS else np.float64)
+            if col.shape != (len(self.ids),):
+                raise ValueError(f"column {name!r} has shape {col.shape}, expected ({len(self.ids)},)")
+            setattr(self, name, col)
+
+    @classmethod
+    def from_records(cls, records) -> BranchTable:
+        records = list(records)
+        return cls(
+            [r.id for r in records],
+            **{name: [getattr(r, name) for r in records] for name in _COLUMNS},
+        )
+
+    def take(self, rows) -> BranchTable:
+        """The rows selected by a boolean mask or an index array, in order."""
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            ids = list(compress(self.ids, rows.tolist()))
+        else:
+            ids = [self.ids[i] for i in rows.tolist()]
+        return BranchTable(ids, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> BranchRecord:
+        if isinstance(i, slice):
+            raise TypeError("BranchTable rows are selected with take(), not slices")
+        return BranchRecord(self.ids[i], *(getattr(self, name)[i].item() for name in _COLUMNS))
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return (BranchRecord(*row) for row in zip(self.ids, *columns))
+
+    def __repr__(self) -> str:
+        return f"BranchTable({len(self)} rows)"
+
+
 @dataclass(frozen=True)
 class FilterOutcome:
-    kept: list[BranchRecord]
+    kept: BranchTable
     rejected: list[tuple[BranchRecord, RejectReason]]
 
 
-_FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", "system_mva_base")
-_INT_FIELDS = ("from_bus", "to_bus")
+#: Rows converted per batch when parsing CSV: large enough that the
+#: per-batch cost vanishes, small enough that a batch's cell strings stay
+#: a small share of the parsed table's memory.
+_CHUNK_ROWS = 8192
 
 
-def parse_branch_csv(data: bytes | str) -> list[BranchRecord]:
-    """Parse canonical branch CSV; raises ParseError with the failing line."""
+def parse_branch_csv(data: bytes | str) -> BranchTable:
+    """Parse canonical branch CSV; raises ParseError with the failing line.
+
+    Rows are converted in chunks, column by column, with Python's int()
+    and float(); a chunk holding a bad row is re-scanned row by row so the
+    error names the first bad row's line and field.
+    """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise ParseError("empty input, expected a header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
     header = [h.strip() for h in header]
     index = {name: i for i, name in enumerate(header)}
     for name in CSV_HEADER:
         if name not in index:
             raise ParseError(f"missing required column {name!r}")
 
-    records = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=line
-            )
-        fields = {"id": row[index["id"]].strip()}
-        for name in _INT_FIELDS:
-            raw = row[index[name]].strip()
-            try:
-                fields[name] = int(raw)
-            except ValueError:
-                raise ParseError(f"column {name!r}: not an integer: {raw!r}", line=line) from None
+    ids: list[str] = []
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMNS}
+    while True:
+        rows, lines = [], []
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _CHUNK_ROWS:
+                        break
+        except csv.Error as exc:
+            for row, line in zip(rows, lines):
+                _check_csv_row(row, line, index, len(header))
+            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+        if not rows:
+            break
+        chunk_ids, columns = _csv_columns(rows, lines, index, len(header))
+        ids += chunk_ids
+        for name in _COLUMNS:
+            parts[name].append(columns[name])
+        if len(rows) < _CHUNK_ROWS:
+            break
+    return BranchTable(ids, **{name: np.concatenate(parts[name] or [[]]) for name in _COLUMNS})
+
+
+def _csv_columns(rows, lines, index, width) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Convert one chunk of CSV rows column by column."""
+    n = len(rows)
+    try:
+        if len(set(map(len, rows))) != 1 or len(rows[0]) != width:
+            raise ValueError("ragged rows")
+        cells = list(zip(*rows))
+        columns = {
+            name: np.fromiter(map(int, map(str.strip, cells[index[name]])), np.int64, n)
+            for name in _INT_FIELDS
+        }
         for name in _FLOAT_FIELDS:
-            raw = row[index[name]].strip()
-            try:
-                fields[name] = float(raw)
-            except ValueError:
-                raise ParseError(f"column {name!r}: not a number: {raw!r}", line=line) from None
-        records.append(BranchRecord(**fields))
-    return records
+            columns[name] = np.fromiter(map(float, map(str.strip, cells[index[name]])), np.float64, n)
+    except (ValueError, OverflowError):
+        for row, line in zip(rows, lines):
+            _check_csv_row(row, line, index, width)
+        raise
+    return [cell.strip() for cell in cells[index["id"]]], columns
+
+
+def _check_csv_row(row, line, index, width) -> None:
+    """Raise the ParseError for a bad row; return quietly for a good one."""
+    if len(row) != width:
+        raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
+    for name in _INT_FIELDS:
+        raw = row[index[name]].strip()
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParseError(f"column {name!r}: not an integer: {raw!r}", line=line) from None
+        if not _INT64.min <= value <= _INT64.max:
+            raise ParseError(f"column {name!r}: integer out of range: {raw!r}", line=line)
+    for name in _FLOAT_FIELDS:
+        raw = row[index[name]].strip()
+        try:
+            float(raw)
+        except ValueError:
+            raise ParseError(f"column {name!r}: not a number: {raw!r}", line=line) from None
 
 
 def serialize_branch_csv(records) -> str:
@@ -188,67 +301,115 @@ def _strip_matlab_comments(text: str) -> str:
     return "\n".join(line.split("%", 1)[0] for line in text.splitlines())
 
 
-def _matpower_matrix(text: str, name: str) -> list[list[float]]:
-    match = re.search(rf"\.{name}\s*=\s*\[(.*?)\];", text, re.DOTALL)
+def _line_of(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos) + 1
+
+
+def _matpower_matrix(text: str, name: str, min_cols: int) -> tuple[np.ndarray, list[int]]:
+    """The first min_cols columns of matrix `name` as one (rows, min_cols)
+    float array, and the 1-based source line of each row."""
+    match = re.search(rf"\.{name}\s*=\s*\[(.*?)\]\s*;", text, re.DOTALL)
     if match is None:
         raise ParseError(f"missing matrix {name!r}")
-    rows = []
-    for chunk in re.split(r"[;\n]", match.group(1)):
-        tokens = chunk.replace(",", " ").split()
-        if not tokens:
-            continue
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise ParseError(f"matrix {name!r}: unparsable row {chunk.strip()!r}") from exc
-    return rows
+    first_line = _line_of(text, match.start(1))
+    rows, chunks, lines = [], [], []
+    for offset, source_line in enumerate(match.group(1).split("\n")):
+        for chunk in source_line.split(";"):
+            tokens = chunk.replace(",", " ").split() if chunk else None
+            if tokens:
+                rows.append(tokens)
+                chunks.append(chunk)
+                lines.append(first_line + offset)
+    flat = list(chain.from_iterable(rows))
+    try:
+        values = np.fromiter(map(float, flat), np.float64, len(flat))
+    except ValueError:
+        for tokens, chunk, line in zip(rows, chunks, lines):
+            try:
+                [float(t) for t in tokens]
+            except ValueError:
+                raise ParseError(
+                    f"matrix {name!r}: unparsable row {chunk.strip()!r}", line=line
+                ) from None
+        raise
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    short = np.flatnonzero(lengths < min_cols)
+    if short.size:
+        i = int(short[0])
+        raise ParseError(
+            f"{name} row {i + 1}: expected at least {min_cols} columns, got {int(lengths[i])}",
+            line=lines[i],
+        )
+    starts = np.cumsum(lengths) - lengths
+    return values[starts[:, None] + np.arange(min_cols)], lines
 
 
-def parse_matpower_case(text: str) -> tuple[float, list[BranchRecord]]:
+def _bus_numbers(column: np.ndarray, name: str, lines: list[int]) -> np.ndarray:
+    """Bus numbers from a float column, truncated toward zero like int()."""
+    bad = np.flatnonzero(~(np.abs(column) < 2.0**63))
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(
+            f"{name} row {i + 1}: bus number out of range: {float(column[i])!r}", line=lines[i]
+        )
+    return np.trunc(column).astype(np.int64)
+
+
+def _parallel_ids(from_bus: np.ndarray, to_bus: np.ndarray) -> list[str]:
+    """Ids "f-t-k", with k counting parallel branches between f and t."""
+    seen: dict[tuple[int, int], int] = {}
+    ids = []
+    for pair in zip(from_bus.tolist(), to_bus.tolist()):
+        k = seen[pair] = seen.get(pair, 0) + 1
+        ids.append(f"{pair[0]}-{pair[1]}-{k}")
+    return ids
+
+
+def parse_matpower_case(text: str) -> tuple[float, BranchTable]:
     """Parse a MATPOWER-style case (baseMVA, bus and branch matrices).
 
     Bus matrix: bus id in column 1, baseKV in column 10. Branch matrix:
     fbus, tbus, r, x, b, rateA, rateB, rateC, ratio, ... Record ids are
-    synthesized as "fbus-tbus-k" with k counting parallel branches.
+    synthesized as "fbus-tbus-k" with k counting parallel branches. A bus
+    listed twice takes the kV of its last row.
     """
     text = _strip_matlab_comments(text)
     base_match = re.search(r"\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
     if base_match is None:
         raise ParseError("missing baseMVA")
-    base_mva = float(base_match.group(1))
+    try:
+        base_mva = float(base_match.group(1))
+    except ValueError:
+        raise ParseError(
+            f"unparsable baseMVA {base_match.group(1)!r}", line=_line_of(text, base_match.start())
+        ) from None
 
-    kv_by_bus = {}
-    for i, row in enumerate(_matpower_matrix(text, "bus"), start=1):
-        if len(row) < 10:
-            raise ParseError(f"bus row {i}: expected at least 10 columns, got {len(row)}")
-        kv_by_bus[int(row[0])] = row[9]
+    bus, bus_lines = _matpower_matrix(text, "bus", 10)
+    # Unique over the reversed rows: a bus listed twice keeps its last row.
+    known, last = np.unique(_bus_numbers(bus[:, 0], "bus", bus_lines)[::-1], return_index=True)
+    known_kv = bus[::-1, 9][last]
 
-    records = []
-    parallel_count: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(_matpower_matrix(text, "branch"), start=1):
-        if len(row) < 9:
-            raise ParseError(f"branch row {i}: expected at least 9 columns, got {len(row)}")
-        fbus, tbus = int(row[0]), int(row[1])
-        for bus in (fbus, tbus):
-            if bus not in kv_by_bus:
-                raise ParseError(f"branch row {i}: unknown bus {bus}")
-        k = parallel_count.get((fbus, tbus), 0) + 1
-        parallel_count[(fbus, tbus)] = k
-        records.append(
-            BranchRecord(
-                id=f"{fbus}-{tbus}-{k}",
-                from_bus=fbus,
-                to_bus=tbus,
-                from_kv=kv_by_bus[fbus],
-                to_kv=kv_by_bus[tbus],
-                r_pu=row[2],
-                x_pu=row[3],
-                mva_rating=row[5],
-                tap_ratio=row[8],
-                system_mva_base=base_mva,
-            )
-        )
-    return base_mva, records
+    branch, branch_lines = _matpower_matrix(text, "branch", 9)
+    from_bus, to_bus = (_bus_numbers(branch[:, j], "branch", branch_lines) for j in (0, 1))
+    from_known, to_known = np.isin(from_bus, known), np.isin(to_bus, known)
+    unknown = np.flatnonzero(~(from_known & to_known))
+    if unknown.size:
+        i = int(unknown[0])
+        bus_no = from_bus[i] if not from_known[i] else to_bus[i]
+        raise ParseError(f"branch row {i + 1}: unknown bus {int(bus_no)}", line=branch_lines[i])
+
+    return base_mva, BranchTable(
+        _parallel_ids(from_bus, to_bus),
+        from_bus=from_bus,
+        to_bus=to_bus,
+        from_kv=known_kv[np.searchsorted(known, from_bus)],
+        to_kv=known_kv[np.searchsorted(known, to_bus)],
+        r_pu=branch[:, 2],
+        x_pu=branch[:, 3],
+        mva_rating=branch[:, 5],
+        tap_ratio=branch[:, 8],
+        system_mva_base=np.full(len(branch), base_mva),
+    )
 
 
 def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None:
@@ -271,21 +432,31 @@ def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None
 
 def filter_valid(records, rating_bounds: tuple[float, float] = DEFAULT_RATING_BOUNDS) -> FilterOutcome:
     """Drop abnormal branch rows: R <= 0, X <= 0, zero or extreme MVA
-    ratings, and non-finite fields. Rejection is data, not an error."""
+    ratings, and non-finite fields. Rejection is data, not an error.
+
+    Takes a BranchTable or any iterable of BranchRecord; the rules are
+    those of _reject_reason, applied to whole columns.
+    """
     lo, hi = rating_bounds
     if not lo > 0:
         raise ValueError(f"rating_bounds minimum must be > 0, got {lo}")
     if not hi > lo:
         raise ValueError(f"rating_bounds must satisfy min < max, got {rating_bounds}")
-    kept = []
-    rejected = []
-    for r in records:
-        reason = _reject_reason(r, lo, hi)
-        if reason is None:
-            kept.append(r)
-        else:
-            rejected.append((r, reason))
-    return FilterOutcome(kept=kept, rejected=rejected)
+    table = records if isinstance(records, BranchTable) else BranchTable.from_records(records)
+    mva = table.mva_rating
+    finite = np.logical_and.reduce([np.isfinite(getattr(table, name)) for name in _FLOAT_FIELDS])
+    # np.select takes the first true condition, so the rule order is kept.
+    rules = (
+        (table.r_pu <= 0, RejectReason.NON_POSITIVE_R),
+        (table.x_pu <= 0, RejectReason.NON_POSITIVE_X),
+        (mva == 0, RejectReason.ZERO_RATING),
+        ((mva < lo) | (mva > hi), RejectReason.EXTREME_RATING),
+        (~finite, RejectReason.NON_FINITE),
+    )
+    codes = np.select([cond for cond, _ in rules], list(range(1, len(rules) + 1)), default=0)
+    rows = np.flatnonzero(codes)
+    reasons = [rules[code - 1][1] for code in codes[rows].tolist()]
+    return FilterOutcome(kept=table.take(codes == 0), rejected=list(zip(table.take(rows), reasons)))
 
 
 def classify_branch(
@@ -304,6 +475,20 @@ def classify_branch(
     if record.x_pu / record.r_pu < autotransformer_xr_threshold:
         return BranchKind.AUTOTRANSFORMER_SUSPECT
     return BranchKind.TRANSFORMER
+
+
+def _transformer_masks(
+    table: BranchTable, autotransformer_xr_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """classify_branch, at its default kV tolerance, over a filtered table:
+    boolean masks of the rows that are transformers (suspects included)
+    and of the suspects."""
+    hi_kv = np.maximum(table.from_kv, table.to_kv)
+    kv_differ = np.abs(table.from_kv - table.to_kv) > 0.02 * hi_kv
+    transformer = (table.tap_ratio != 0) | kv_differ
+    with np.errstate(over="ignore"):
+        low_xr = table.x_pu / table.r_pu < autotransformer_xr_threshold
+    return transformer, transformer & low_xr
 
 
 def voltage_class_table(nominal_kvs, tolerance_frac: float = 0.02) -> list[VoltageClass]:
@@ -334,3 +519,14 @@ def assign_voltage_class(
         if cls.matches(kv):
             return cls
     return None
+
+
+def _voltage_class_index(table: BranchTable, transformer: np.ndarray, classes) -> np.ndarray:
+    """assign_voltage_class over a table: per row, the index in classes of
+    the first matching class, or -1 when none matches."""
+    kv = np.where(transformer, np.maximum(table.from_kv, table.to_kv), table.from_kv)
+    index = np.full(kv.shape, -1)
+    # Last class first, so that the first matching class is the one left.
+    for i, cls in reversed(list(enumerate(classes))):
+        index[np.abs(kv - cls.nominal_kv) <= cls.tolerance_frac * cls.nominal_kv] = i
+    return index

@@ -159,6 +159,13 @@ class ReferenceEntry:
             raise ValueError(f"class_kv must be > 0, got {self.class_kv}")
         if self.summary is None and self.band is None and self.family is None:
             raise ValueError("entry needs at least one of summary, band, family")
+        median = None if self.summary is None else self.summary.median
+        if median is not None and not median > 0:
+            # MedianCheck divides by the reference median; every kind is a positive quantity.
+            raise ValueError(
+                f"{self.kind.value} at {self.class_kv:g} kV: "
+                f"reference median must be > 0, got {median}"
+            )
         if self.family is not None:
             if self.family not in FAMILIES:
                 raise ValueError(f"unknown family {self.family!r}")

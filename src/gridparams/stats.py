@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "SummaryStats",
@@ -125,7 +124,11 @@ def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:
             "summarize the constant instead"
         )
     k = _bin_count(arr, binning)
-    counts, edges = np.histogram(arr, bins=k, range=(float(arr.min()), float(arr.max())))
+    lo, hi = float(arr.min()), float(arr.max())
+    # Bins narrower than the smallest normal float make count / (n * width)
+    # overflow to inf; widen such a range so every density stays finite.
+    hi = max(hi, lo + k * float(np.finfo(float).tiny))
+    counts, edges = np.histogram(arr, bins=k, range=(lo, hi))
     widths = np.diff(edges)
     densities = counts / (arr.size * widths)
     return Histogram(edges=edges, densities=densities, counts=counts)
@@ -166,6 +169,16 @@ def spearman(xs, ys) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    rx = rankdata(x)
-    ry = rankdata(y)
-    return pearson(rx, ry)
+    return pearson(_average_ranks(x), _average_ranks(y))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, ties given the mean of their ranks
+    (scipy.stats.rankdata's "average" method)."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks

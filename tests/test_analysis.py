@@ -1,7 +1,11 @@
 """Record-to-sample collection and per-class correlation bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridparams.analysis import (
     collect_samples,
@@ -9,7 +13,17 @@ from gridparams.analysis import (
     observed_stats,
     spearman_own_by_class,
 )
-from gridparams.ingest import BranchRecord, RejectReason
+from gridparams.ingest import (
+    BranchRecord,
+    RejectReason,
+    _reject_reason,
+    assign_voltage_class,
+    classify_branch,
+    filter_valid,
+    is_transformer,
+    voltage_class_table,
+)
+from gridparams.per_unit import to_own_base, xr_ratio
 from gridparams.profiles import ParameterKind, builtin_profile
 
 
@@ -134,3 +148,120 @@ def test_decorrelation_omits_degenerate_classes():
     # constant ratings: correlation undefined, class omitted
     out = collect_samples([_xfmr(0, x=0.05), _xfmr(1, x=0.08)])
     assert decorrelation_stats(out) == {}
+
+
+# ------------------------------------- columnar path against a record loop
+
+
+def _reference_collect(records, class_kvs, rating_bounds, threshold):
+    """The per-record loop that collect_samples replaces, built from the
+    scalar rule functions: (reasons by id, values, triples, kept,
+    unclassified, suspects)."""
+    classes = voltage_class_table(class_kvs)
+    kept, reasons = [], {}
+    for r in records:
+        reason = _reject_reason(r, *rating_bounds)
+        if reason is None:
+            kept.append(r)
+        else:
+            reasons[r.id] = reason
+    values, triples, suspects, unclassified = {}, {}, {}, 0
+    for r in kept:
+        kind = classify_branch(r, threshold)
+        cls = assign_voltage_class(r, kind, classes)
+        if cls is None:
+            unclassified += 1
+            continue
+        kv, xr = cls.nominal_kv, xr_ratio(r.r_pu, r.x_pu)
+        if is_transformer(kind):
+            x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating)
+            pushes = [
+                (ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, x_own),
+                (ParameterKind.TRANSFORMER_MVA_RATING, r.mva_rating),
+                (ParameterKind.TRANSFORMER_XR, xr),
+            ]
+            for col, v in zip(triples.setdefault(kv, ([], [], [])), (x_own, r.x_pu, r.mva_rating)):
+                col.append(v)
+            if kind.value == "AutotransformerSuspect":
+                suspects[kv] = suspects.get(kv, 0) + 1
+        else:
+            pushes = [
+                (ParameterKind.LINE_REACTANCE_COMMON_BASE, r.x_pu),
+                (ParameterKind.LINE_CAPACITY, r.mva_rating),
+                (ParameterKind.LINE_XR, xr),
+            ]
+        for param, v in pushes:
+            values.setdefault((param, kv), []).append(v)
+    values = {k: np.asarray(v, dtype=float) for k, v in values.items()}
+    triples = {kv: tuple(np.asarray(c, dtype=float) for c in cols) for kv, cols in triples.items()}
+    return reasons, values, triples, len(kept), unclassified, suspects
+
+
+def _edges(*values):
+    """Each value and its two floating-point neighbours."""
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+_KVS = [115.0, 138.0, 230.0, 100.0, 98.0, 102.0, 13.8, 345.0, *_edges(115 * 1.02, 115 * 0.98, 230 * 1.02)]
+_ODD = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]), st.floats())
+
+
+@st.composite
+def _record(draw, i):
+    """A plausible branch with values on the rule edges; in some records
+    one field is replaced by a non-finite, non-positive or arbitrary float."""
+    from_kv = draw(st.sampled_from(_KVS))
+    r = draw(st.sampled_from([0.002, 0.01, 0.25, 1e-300]))
+    fields = dict(
+        from_kv=from_kv,
+        # 100 kV against 98 kV differs by exactly the 2 percent tolerance.
+        to_kv=draw(st.sampled_from([from_kv, 13.8, *_edges(from_kv - 0.02 * from_kv)])),
+        r_pu=r,
+        # x = 4 r makes X/R exactly the autotransformer threshold.
+        x_pu=draw(st.sampled_from([0.05, 0.32, 0.1 * r, *_edges(4 * r)])),
+        mva_rating=draw(st.sampled_from([60.0, 500.0, 1234.5, 0.0, *_edges(1.0, 3000.0)])),
+        tap_ratio=draw(st.sampled_from([0.0, 1.0, 1.025])),
+        system_mva_base=draw(st.sampled_from([100.0, 1.0, 30.0])),
+    )
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(_ODD)
+    return BranchRecord(id=f"r{i}", from_bus=i, to_bus=i + 1, **fields)
+
+
+@st.composite
+def _fleets(draw):
+    n = draw(st.integers(min_value=0, max_value=30))
+    return [draw(_record(i)) for i in range(n)]
+
+
+@given(
+    _fleets(),
+    st.sampled_from([(115.0, 138.0, 230.0), (230.0, 100.0, 115.0), (13.8,)]),
+    st.sampled_from([(1.0, 3000.0), (0.5, 1e300)]),
+    st.sampled_from([4.0, 0.0, 10.0]),
+)
+def test_columnar_collect_equals_record_loop(records, class_kvs, rating_bounds, threshold):
+    try:
+        ref = _reference_collect(records, class_kvs, rating_bounds, threshold)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            collect_samples(records, class_kvs, rating_bounds=rating_bounds,
+                            autotransformer_xr_threshold=threshold)
+        assert str(got.value) == str(exc)
+        return
+    reasons, values, triples, kept, unclassified, suspects = ref
+    out = collect_samples(records, class_kvs, rating_bounds=rating_bounds,
+                          autotransformer_xr_threshold=threshold)
+    outcome = filter_valid(records, rating_bounds)
+
+    assert {r.id: reason for r, reason in out.rejected} == reasons
+    assert [repr(r) for r, _ in out.rejected] == [repr(r) for r in records if r.id in reasons]
+    assert [repr(r) for r in outcome.kept] == [repr(r) for r in records if r.id not in reasons]
+    assert list(out.values) == list(values)
+    for key, arr in values.items():
+        assert out.values[key].tobytes() == arr.tobytes()
+    assert list(out.transformer_triples) == list(triples)
+    for kv, cols in triples.items():
+        assert [c.tobytes() for c in out.transformer_triples[kv]] == [c.tobytes() for c in cols]
+    assert (out.kept, out.unclassified) == (kept, unclassified)
+    assert list(out.suspect_counts.items()) == list(suspects.items())

@@ -1,6 +1,10 @@
 """Command-line workflows, exercised in process through run()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,51 @@ def test_analyze_malformed_csv(tmp_path, capsys):
     assert run(["analyze", "--branches", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "x_pu" in err
+
+
+def _gridparams(*argv, cwd=None):
+    """The CLI in a fresh interpreter, so that its stderr is what a user sees."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    proc = _gridparams(
+        "-c",
+        "import sys, gridparams.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_validate_zero_reference_median_is_an_input_error(tmp_path):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    profile = tmp_path / "profile.json"
+    profile.write_text(
+        json.dumps([{"kind": "TransformerXr", "class_kv": 115.0, "summary": {"median": 0}}])
+    )
+    proc = _gridparams(
+        "-m", "gridparams", "validate", "--case", str(case), "--profile", str(profile)
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "reference median must be > 0" in proc.stderr
+
+
+def test_arithmetic_errors_exit_1(monkeypatch, capsys):
+    import gridparams.cli as cli
+
+    def divide(args):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", divide)
+    assert run(["analyze", "--branches", "unused.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_analyze_missing_file(capsys):

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridparams.ingest import (
     CSV_HEADER,
     DEFAULT_RATING_BOUNDS,
     BranchKind,
     BranchRecord,
+    BranchTable,
     ParseError,
     RejectReason,
     VoltageClass,
@@ -58,12 +62,12 @@ def test_parse_single_row():
 
 
 def test_parse_header_only():
-    assert parse_branch_csv(",".join(CSV_HEADER) + "\n") == []
+    assert list(parse_branch_csv(",".join(CSV_HEADER) + "\n")) == []
 
 
 def test_parse_accepts_bytes():
     text = ",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n"
-    assert parse_branch_csv(text.encode()) == parse_branch_csv(text)
+    assert list(parse_branch_csv(text.encode())) == list(parse_branch_csv(text))
 
 
 def test_parse_column_order_free():
@@ -105,9 +109,116 @@ def test_serialize_parse_round_trip():
     ]
     text = serialize_branch_csv(recs)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    assert parse_branch_csv(text) == recs
+    assert list(parse_branch_csv(text)) == recs
     # repr round-trips floats exactly and never leaks array scalar types
     assert "np." not in text
+
+
+def test_parse_error_past_the_first_chunk_names_its_line():
+    rows = [GOOD_ROW] * 20000
+    rows[12345] = GOOD_ROW.replace("60", "sixty")
+    rows[15000] = "short,row"
+    text = ",".join(CSV_HEADER) + "\n" + "\n\n".join(rows) + "\n"
+    with pytest.raises(ParseError, match="column 'mva_rating': not a number: 'sixty'") as exc:
+        parse_branch_csv(text)
+    assert exc.value.line == 2 + 2 * 12345
+
+
+def test_parse_bus_number_out_of_int64_range():
+    text = ",".join(CSV_HEADER) + "\n" + GOOD_ROW.replace("t1,1,", f"t1,{2**63},") + "\n"
+    with pytest.raises(ParseError, match="from_bus.*out of range") as exc:
+        parse_branch_csv(text)
+    assert exc.value.line == 2
+
+
+def test_parse_csv_reader_error_is_a_parse_error():
+    text = ",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n" + "t2,1\r2,3\n"
+    with pytest.raises(ParseError, match="malformed CSV"):
+        parse_branch_csv(text)
+
+
+def test_branch_table_reads_as_records():
+    recs = [_rec(id="a"), _rec(id="b", from_bus=7, x_pu=0.25), _rec(id="c", tap_ratio=1.05)]
+    table = BranchTable.from_records(recs)
+    assert len(table) == 3
+    assert list(table) == recs
+    assert table[1] == recs[1] and table[-1] == recs[2]
+    assert type(table[1].from_bus) is int and type(table[1].x_pu) is float
+    assert list(table.take(np.array([False, True, True]))) == recs[1:]
+    assert list(table.take(np.array([2, 0]))) == [recs[2], recs[0]]
+    assert table.from_bus.dtype == np.int64 and table.x_pu.dtype == np.float64
+    with pytest.raises(IndexError):
+        table[3]
+
+
+_ids = st.text(alphabet="abcXYZ019-_.", max_size=8)
+_buses = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# Text holds one NaN, so only the canonical NaN round-trips bit for bit.
+_floats = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
+
+
+@given(st.lists(st.tuples(_ids, _buses, _buses, *[_floats] * 7), max_size=30))
+def test_serialize_parse_round_trips_a_table(rows):
+    table = BranchTable.from_records(BranchRecord(*row) for row in rows)
+    back = parse_branch_csv(serialize_branch_csv(table))
+    assert back.ids == table.ids
+    for name in CSV_HEADER[1:]:
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
+
+
+_csv_cells = st.sampled_from(
+    ["1", "-2", " 3 ", "1e400", "nan", "-inf", "0x1", "1_0", "", "abc", '"q,"', '"', "\x00", "\r", "١٢"]
+)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(_csv_cells, min_size=9, max_size=11).map(",".join),
+            st.text(max_size=30),
+        ),
+        max_size=6,
+    )
+)
+def test_parse_branch_csv_raises_only_parse_error(rows):
+    text = ",".join(CSV_HEADER) + "\n" + "\n".join(rows)
+    try:
+        parse_branch_csv(text)
+    except ParseError:
+        pass
+
+
+_case_fragments = st.sampled_from(
+    [
+        "mpc.baseMVA = 100;", "mpc.baseMVA = 1e;", "mpc.bus = [", "mpc.branch = [", "];", "] ;",
+        "]", ";", ",", "\n", "\t", "%", " ", "1", "2", "115", "0.01", "nan", "inf", "-1e300",
+        "1e30", "x", "[",
+    ]
+)
+
+
+_matrix_rows = st.lists(
+    st.lists(st.sampled_from(["1", "2", "3", "115", "0.01", "nan", "inf", "-1e300", "1e30", "2.5", "x"]),
+             max_size=14).map("\t".join),
+    max_size=4,
+).map(";\n".join)
+
+
+@st.composite
+def _cases(draw):
+    base = draw(st.sampled_from(["100", "1e", "-", "nan"]))
+    return (
+        f"mpc.baseMVA = {base};\nmpc.bus = [\n{draw(_matrix_rows)}\n]{draw(st.sampled_from([';', ' ;']))}\n"
+        f"mpc.branch = [\n{draw(_matrix_rows)}\n];\n"
+    )
+
+
+@given(st.one_of(_cases(), st.lists(_case_fragments, max_size=80).map("".join), st.text(max_size=200)))
+def test_parse_matpower_raises_only_parse_error(text):
+    try:
+        parse_matpower_case(text)
+    except ParseError:
+        pass
 
 
 # ------------------------------------------------------------ MATPOWER text
@@ -174,6 +285,43 @@ def test_matpower_missing_base():
         parse_matpower_case("mpc.bus = [\n];\nmpc.branch = [\n];\n")
 
 
+def test_matpower_space_before_semicolon():
+    spaced = CASE3.replace("];", "] ;")
+    assert spaced.count("] ;") == 2
+    base, recs = parse_matpower_case(spaced)
+    assert base == 100.0
+    assert list(recs) == list(parse_matpower_case(CASE3)[1])
+
+
+def test_matpower_unparsable_row_names_its_line():
+    broken = CASE3.replace("\t0.012\t0.06", "\t0.012\tx")
+    with pytest.raises(ParseError, match="unparsable row") as exc:
+        parse_matpower_case(broken)
+    assert exc.value.line == 12
+
+
+def test_matpower_short_row_names_its_line():
+    broken = CASE3.replace("\t3\t1\t30\t5\t0\t0\t1\t1.0\t0\t13.8\t1\t1.1\t0.9;", "\t3\t1\t30;")
+    with pytest.raises(ParseError, match="bus row 3: expected at least 10 columns, got 3") as exc:
+        parse_matpower_case(broken)
+    assert exc.value.line == 8
+
+
+def test_matpower_unknown_bus_names_its_line():
+    broken = CASE3.replace("\t2\t3\t0.002", "\t2\t9\t0.002")
+    with pytest.raises(ParseError, match="branch row 3: unknown bus 9") as exc:
+        parse_matpower_case(broken)
+    assert exc.value.line == 13
+
+
+def test_matpower_duplicate_bus_takes_last_row():
+    doubled = CASE3.replace(
+        "];\nmpc.branch", "\t3\t1\t30\t5\t0\t0\t1\t1.0\t0\t34.5\t1\t1.1\t0.9;\n];\nmpc.branch"
+    )
+    _, recs = parse_matpower_case(doubled)
+    assert recs[2].to_kv == 34.5
+
+
 # -------------------------------------------------------------- filtering
 
 
@@ -215,7 +363,7 @@ def test_filter_idempotent():
     records = [_rec(id=f"r{i}", x_pu=0.01 * (i + 1)) for i in range(5)]
     once = filter_valid(records)
     twice = filter_valid(once.kept)
-    assert twice.kept == once.kept
+    assert list(twice.kept) == list(once.kept)
     assert twice.rejected == []
 
 

@@ -120,6 +120,13 @@ def test_duplicate_entries_rejected():
         parse_profile_json(blob)
 
 
+@pytest.mark.parametrize("median", [0.0, -0.13])
+def test_non_positive_reference_median_rejected(median):
+    entry = {"kind": "TransformerXr", "class_kv": 138.0, "summary": {"median": median}}
+    with pytest.raises(ValueError, match="TransformerXr at 138 kV: reference median must be > 0"):
+        parse_profile_json(json.dumps([entry]))
+
+
 def test_lookup():
     profile = builtin_profile()
     e = lookup(profile, ParameterKind.TRANSFORMER_MVA_RATING, 230.0)

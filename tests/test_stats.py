@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
 from gridparams.stats import (
+    _average_ranks,
     FixedCount,
     FreedmanDiaconis,
     band_fraction,
@@ -165,3 +167,14 @@ def test_spearman_hand_value():
 
 def test_spearman_averages_ties():
     assert spearman([1.0, 1.0, 2.0], [3.0, 3.0, 5.0]) == pytest.approx(1.0)
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 2.5, 7.0]), st.floats(allow_nan=False)),
+        max_size=60,
+    )
+)
+def test_average_ranks_equal_scipy_rankdata(values):
+    arr = np.asarray(values, dtype=float)
+    assert _average_ranks(arr).tobytes() == rankdata(arr).astype(float).tobytes()
