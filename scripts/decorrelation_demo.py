@@ -12,8 +12,6 @@ Usage: python scripts/decorrelation_demo.py --kv 115 --n 5000
 import argparse
 import sys
 
-import numpy as np
-
 from gridparams.profiles import builtin_profile
 from gridparams.sampler import generate_transformers
 from gridparams.stats import pearson, spearman
@@ -30,9 +28,7 @@ def main(argv=None) -> int:
     items = generate_transformers(
         args.kv, args.n, seed=args.seed, profile=builtin_profile(), system_mva_base=args.base
     )
-    x_own = np.array([it.x_pu_own for it in items])
-    x_common = np.array([it.x_pu_common for it in items])
-    mva = np.array([it.mva_rating for it in items])
+    x_own, x_common, mva = items.x_pu_own, items.x_pu_common, items.mva_rating
 
     print(f"{args.n} transformers at {args.kv:g} kV, seed {args.seed}, {args.base:g} MVA base")
     print(f"{'':<14}{'pearson':>10}{'spearman':>10}")

@@ -26,6 +26,7 @@ from gridparams.profiles import (
     validate,
 )
 from gridparams.sampler import (
+    SyntheticTable,
     generate_lines,
     generate_transformers,
     params_to_branch_records,
@@ -67,17 +68,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     profile = builtin_profile()
-    items = []
-    for i, kv in enumerate(CLASS_KVS):
-        items.extend(
-            generate_transformers(kv, args.n, seed=args.seed + i, profile=profile, system_mva_base=args.base)
-        )
+    tables = [
+        generate_transformers(kv, args.n, seed=args.seed + i, profile=profile, system_mva_base=args.base)
+        for i, kv in enumerate(CLASS_KVS)
+    ]
     if args.lines:
         augmented = line_capable_profile()
         for i, kv in enumerate(CLASS_KVS):
-            items.extend(generate_lines(kv, args.lines, seed=args.seed + 100 + i, profile=augmented))
+            tables.append(generate_lines(kv, args.lines, seed=args.seed + 100 + i, profile=augmented))
 
-    records = params_to_branch_records(items, system_mva_base=args.base)
+    records = params_to_branch_records(SyntheticTable.concat(tables), system_mva_base=args.base)
     with open(args.out, "w") as fh:
         fh.write(serialize_branch_csv(records))
     print(f"wrote {len(records)} branches to {args.out}")

@@ -23,7 +23,8 @@ from .analysis import (
     spearman_own_by_class,
 )
 from .fitting import fit_and_score, select_best
-from .ingest import ParseError, parse_branch_csv, parse_matpower_case, serialize_branch_csv
+from .ingest import ParseError, decode_utf8, parse_branch_csv, parse_matpower_case
+from .ingest import serialize_branch_csv
 from .distributions import family_tag, to_json as dist_to_json
 from .profiles import (
     DEFAULT_THRESHOLDS,
@@ -152,7 +153,7 @@ def _collect(args, inputs: dict):
     --classes voltage classes: (class kVs, CollectedSamples)."""
     if args.case is not None:
         inputs[args.case] = _sha256(args.case)
-        _, records = parse_matpower_case(Path(args.case).read_text(encoding="utf-8"))
+        _, records = parse_matpower_case(decode_utf8(Path(args.case).read_bytes()))
     else:
         inputs[args.branches] = _sha256(args.branches)
         records = parse_branch_csv(Path(args.branches).read_bytes())

@@ -27,7 +27,7 @@ from .distributions import (
     log_pdf,
     n_params,
 )
-from .stats import Binning, FreedmanDiaconis, Histogram, histogram
+from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
 
 __all__ = [
     "FitOptions",
@@ -75,15 +75,6 @@ class KlScore:
     d_kl: float
     bins_used: int
     empty_bins_skipped: int
-
-
-def _as_sample(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("cannot fit an empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains non-finite values")
-    return x
 
 
 def _loglik(d: DistSpec, x: np.ndarray) -> float:
@@ -209,7 +200,7 @@ def fit_mle(family: str, values, options: FitOptions = FitOptions()) -> FitResul
     (negative values for exponential, constant samples for any scale
     family); mere optimizer failure returns converged=False instead.
     """
-    x = _as_sample(values)
+    x = as_sample(values)
     if family == "exponential":
         return _fit_exponential(x)
     if family == "normal":
@@ -269,7 +260,7 @@ def fit_and_score(
     """Fit every requested family to the sample and score each against
     one shared histogram. Families whose support cannot hold the sample
     (ValueError from fit_mle) are skipped."""
-    x = _as_sample(values)
+    x = as_sample(values)
     hist = histogram(x, binning)
     out = []
     for family in families:

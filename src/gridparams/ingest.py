@@ -33,6 +33,7 @@ __all__ = [
     "CSV_HEADER",
     "DEFAULT_RATING_BOUNDS",
     "DEFAULT_CLASS_KVS",
+    "decode_utf8",
     "parse_branch_csv",
     "serialize_branch_csv",
     "parse_matpower_case",
@@ -199,6 +200,15 @@ class FilterOutcome:
 _CHUNK_ROWS = 8192
 
 
+def decode_utf8(data: bytes) -> str:
+    """The UTF-8 text of data; a byte that is not UTF-8 raises ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
+
+
 def parse_branch_csv(data: bytes | str) -> BranchTable:
     """Parse canonical branch CSV; raises ParseError with the failing line.
 
@@ -206,7 +216,7 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
     and float(); a chunk holding a bad row is re-scanned row by row so the
     error names the first bad row's line and field.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = decode_utf8(data) if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -287,14 +297,12 @@ def _check_csv_row(row, line, index, width) -> None:
 
 
 def serialize_branch_csv(records) -> str:
-    """Inverse of parse_branch_csv; floats use shortest round-trip repr."""
-    lines = [",".join(CSV_HEADER)]
-    for r in records:
-        cells = [r.id, str(int(r.from_bus)), str(int(r.to_bus))] + [
-            repr(float(getattr(r, name))) for name in _FLOAT_FIELDS
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_branch_csv; floats use shortest round-trip repr.
+    Takes a BranchTable or any iterable of BranchRecord."""
+    table = records if isinstance(records, BranchTable) else BranchTable.from_records(records)
+    columns = [getattr(table, name).tolist() for name in _COLUMNS]
+    cells = [table.ids, *(map(str, c) for c in columns[:2]), *(map(repr, c) for c in columns[2:])]
+    return "\n".join([",".join(CSV_HEADER), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _strip_matlab_comments(text: str) -> str:
@@ -365,7 +373,7 @@ def _parallel_ids(from_bus: np.ndarray, to_bus: np.ndarray) -> list[str]:
     return ids
 
 
-def parse_matpower_case(text: str) -> tuple[float, BranchTable]:
+def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
     """Parse a MATPOWER-style case (baseMVA, bus and branch matrices).
 
     Bus matrix: bus id in column 1, baseKV in column 10. Branch matrix:
@@ -373,7 +381,7 @@ def parse_matpower_case(text: str) -> tuple[float, BranchTable]:
     synthesized as "fbus-tbus-k" with k counting parallel branches. A bus
     listed twice takes the kV of its last row.
     """
-    text = _strip_matlab_comments(text)
+    text = _strip_matlab_comments(decode_utf8(text) if isinstance(text, bytes) else text)
     base_match = re.search(r"\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
     if base_match is None:
         raise ParseError("missing baseMVA")

@@ -19,12 +19,13 @@ the scale is solved numerically from those two targets at a chosen nu.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DistSpec, Exponential, Normal, Tls, cdf, sample_stream
-from .ingest import BranchKind, BranchRecord, is_transformer
+from .ingest import BranchKind, BranchTable
 from .profiles import ParameterKind, ReferenceEntry, lookup
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "DEFAULT_TLS_NU",
     "MAX_REJECTION_ROUNDS",
     "SyntheticBranchParams",
+    "SyntheticTable",
     "CalibratedTls",
     "calibrate_reactance_tls",
     "generate_transformers",
@@ -55,10 +57,8 @@ _CALIBRATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SyntheticBranchParams:
-    """One generated branch. Transformers carry both bases (own-base x/r
-    plus the common-base conversion); lines carry the common base only.
-    xr equals x/r bit-exactly on the primary base (own for transformers,
-    common for lines)."""
+    """One generated branch, a row of a SyntheticTable (which checks the invariants).
+    Transformers carry both bases (own-base x/r plus the common-base conversion)."""
 
     kind: BranchKind
     class_kv: float
@@ -69,31 +69,78 @@ class SyntheticBranchParams:
     x_pu_own: float | None = None
     r_pu_own: float | None = None
 
-    def __post_init__(self):
-        required = {
-            "class_kv": self.class_kv,
-            "mva_rating": self.mva_rating,
-            "x_pu_common": self.x_pu_common,
-            "r_pu_common": self.r_pu_common,
-            "xr": self.xr,
-        }
-        for name, v in required.items():
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        own = (self.x_pu_own, self.r_pu_own)
-        if is_transformer(self.kind):
-            if any(v is None for v in own):
-                raise ValueError("transformer parameters need own-base x and r")
-            for name, v in zip(("x_pu_own", "r_pu_own"), own):
-                if not (math.isfinite(v) and v > 0):
-                    raise ValueError(f"{name} must be finite and > 0, got {v}")
-            x, r = self.x_pu_own, self.r_pu_own
-        else:
-            if any(v is not None for v in own):
-                raise ValueError("line parameters are common-base only")
-            x, r = self.x_pu_common, self.r_pu_common
-        if abs(x / r - self.xr) > 1e-9 * self.xr:
-            raise ValueError(f"xr {self.xr} inconsistent with x/r = {x / r}")
+
+#: Row kinds are stored as indices into this tuple.
+_KINDS = tuple(BranchKind)
+_LINE = _KINDS.index(BranchKind.TRANSMISSION_LINE)
+#: The SyntheticBranchParams fields after kind, in order; the last two are own-base.
+_COLUMNS = ("class_kv", "mva_rating", "x_pu_common", "r_pu_common", "xr", "x_pu_own", "r_pu_own")
+
+
+class SyntheticTable(Sequence):
+    """Generated branches stored column-wise: an int8 `kind` column of
+    indices into tuple(BranchKind), and a float64 column per other field
+    of SyntheticBranchParams, NaN in the own-base cells of line rows.
+    Reads as a sequence of SyntheticBranchParams built on demand.
+
+    Building a table checks each column once: every value finite and > 0,
+    own-base values present exactly on transformer rows, and xr equal to
+    x/r within 1e-9 relative on the primary base (own for transformers).
+    """
+
+    __slots__ = ("kind", *_COLUMNS)
+
+    def __init__(self, kind, **columns):
+        if set(columns) != set(_COLUMNS):
+            raise TypeError(f"SyntheticTable needs exactly the columns {_COLUMNS}")
+        self.kind = np.asarray(kind, dtype=np.int8)
+        line = self.kind == _LINE
+        for name in _COLUMNS:
+            col = np.asarray(columns[name], dtype=np.float64)
+            if col.shape != line.shape:
+                raise ValueError(f"column {name!r} has shape {col.shape}, expected {line.shape}")
+            setattr(self, name, col)
+            if name in _COLUMNS[5:]:
+                if (np.isnan(col) != line).any():
+                    raise ValueError("own-base x and r are given for transformers, and only for them")
+                col = col[~line]
+            bad = ~((col > 0) & (col < math.inf))
+            if bad.any():
+                raise ValueError(f"{name} must be finite and > 0, got {col[bad][0]}")
+        x = np.where(line, self.x_pu_common, self.x_pu_own)
+        r = np.where(line, self.r_pu_common, self.r_pu_own)
+        bad = np.abs(x / r - self.xr) > 1e-9 * self.xr
+        if bad.any():
+            raise ValueError(f"xr {self.xr[bad][0]} inconsistent with x/r = {(x / r)[bad][0]}")
+
+    @classmethod
+    def from_rows(cls, rows) -> SyntheticTable:
+        """A table of SyntheticBranchParams rows; None own-base cells become NaN."""
+        rows = list(rows)
+        columns = {name: [getattr(p, name) for p in rows] for name in _COLUMNS}
+        return cls([_KINDS.index(p.kind) for p in rows], **columns)
+
+    @classmethod
+    def concat(cls, tables) -> SyntheticTable:
+        """One table holding the rows of tables, in order."""
+        tables = list(tables)
+        parts = {name: [getattr(t, name) for t in tables] or [[]] for name in ("kind", *_COLUMNS)}
+        return cls(**{name: np.concatenate(p) for name, p in parts.items()})
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i: int) -> SyntheticBranchParams:
+        return _row(*(getattr(self, name)[i].item() for name in ("kind", *_COLUMNS)))
+
+    def __iter__(self):
+        return map(_row, *(getattr(self, name).tolist() for name in ("kind", *_COLUMNS)))
+
+
+def _row(kind: int, *values: float) -> SyntheticBranchParams:
+    if kind == _LINE:
+        values = (*values[:5], None, None)
+    return SyntheticBranchParams(_KINDS[kind], *values)
 
 
 @dataclass(frozen=True)
@@ -265,7 +312,7 @@ def generate_transformers(
     system_mva_base: float,
     *,
     nu: float = DEFAULT_TLS_NU,
-) -> list[SyntheticBranchParams]:
+) -> SyntheticTable:
     """Draw n transformer parameter sets for one voltage class.
 
     Streams (fixed order): rating, own-base reactance, X/R. Rating is
@@ -307,25 +354,15 @@ def generate_transformers(
         entry_desc=f"{xr_entry.kind.value} at {class_kv:g} kV",
     )
 
-    out = []
-    for i in range(n):
-        r_own = x_own[i] / xr_draw[i]
-        out.append(
-            SyntheticBranchParams(
-                kind=BranchKind.TRANSFORMER,
-                class_kv=class_kv,
-                mva_rating=float(mva[i]),
-                x_pu_own=float(x_own[i]),
-                r_pu_own=float(r_own),
-                x_pu_common=float(x_own[i] * system_mva_base / mva[i]),
-                r_pu_common=float(r_own * system_mva_base / mva[i]),
-                xr=float(x_own[i] / r_own),
-            )
-        )
-    return out
+    r_own = x_own / xr_draw
+    return SyntheticTable(
+        np.full(n, _KINDS.index(BranchKind.TRANSFORMER)), class_kv=np.full(n, float(class_kv)),
+        mva_rating=mva, x_pu_own=x_own, r_pu_own=r_own, xr=x_own / r_own,
+        x_pu_common=x_own * system_mva_base / mva, r_pu_common=r_own * system_mva_base / mva,
+    )
 
 
-def generate_lines(class_kv: float, n: int, seed: int, profile) -> list[SyntheticBranchParams]:
+def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTable:
     """Draw n line parameter sets: exponential common-base reactance,
     normal capacity and X/R truncated positive.
 
@@ -355,68 +392,52 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> list[Syntheti
         entry_desc=f"{xr_entry.kind.value} at {class_kv:g} kV",
     )
 
-    out = []
-    for i in range(n):
-        r = x[i] / xr_draw[i]
-        out.append(
-            SyntheticBranchParams(
-                kind=BranchKind.TRANSMISSION_LINE,
-                class_kv=class_kv,
-                mva_rating=float(cap[i]),
-                x_pu_common=float(x[i]),
-                r_pu_common=float(r),
-                xr=float(x[i] / r),
-            )
-        )
-    return out
+    r = x / xr_draw
+    return SyntheticTable(
+        np.full(n, _LINE), class_kv=np.full(n, float(class_kv)),
+        mva_rating=cap, x_pu_common=x, r_pu_common=r, xr=x / r,
+        x_pu_own=np.full(n, math.nan), r_pu_own=np.full(n, math.nan),
+    )
 
 
 PARAMS_CSV_HEADER = "kind,class_kv,mva_rating,x_pu_own,r_pu_own,x_pu_common,r_pu_common,xr"
 
 
-def _cell(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def params_csv(items) -> str:
-    """Plot-ready CSV; own-base columns are empty for lines."""
-    lines = [PARAMS_CSV_HEADER]
-    for p in items:
-        lines.append(
-            f"{p.kind.value},{_cell(p.class_kv)},{_cell(p.mva_rating)},{_cell(p.x_pu_own)},"
-            f"{_cell(p.r_pu_own)},{_cell(p.x_pu_common)},{_cell(p.r_pu_common)},{_cell(p.xr)}"
-        )
-    return "\n".join(lines) + "\n"
+    """Plot-ready CSV of SyntheticBranchParams rows; own-base cells are empty for lines."""
+    table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
+    kinds = np.array([k.value for k in _KINDS])[table.kind].tolist()
+    columns = (map(repr, getattr(table, name).tolist()) for name in PARAMS_CSV_HEADER.split(",")[1:])
+    text = "\n".join([PARAMS_CSV_HEADER, *map(",".join, zip(kinds, *columns))]) + "\n"
+    # Own-base x and r are adjacent columns, NaN together on exactly the line
+    # rows, and no other cell can be NaN: blank those cells in one pass.
+    return text.replace(",nan,nan,", ",,,")
 
 
-def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13.8):
+def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13.8) -> BranchTable:
     """Wrap generated parameters as branch records on fresh buses, so a
     generated population can round-trip through the analysis pipeline.
 
     Transformers get a high/low voltage pair (tap 1.0); lines connect two
     buses at the class voltage (tap 0). Impedances are common-base, as
-    branch records require.
+    branch records require. Row i (from 1) gets buses 2i - 1 and 2i and the
+    id "T<class>-i" or "L<class>-i".
     """
     if not system_mva_base > 0:
         raise ValueError(f"system_mva_base must be > 0, got {system_mva_base}")
-    records = []
-    for i, p in enumerate(items):
-        xfmr = is_transformer(p.kind)
-        if xfmr and not lv_kv < p.class_kv:
-            raise ValueError(f"lv_kv {lv_kv} must be below class_kv {p.class_kv}")
-        prefix = "T" if xfmr else "L"
-        records.append(
-            BranchRecord(
-                id=f"{prefix}{p.class_kv:g}-{i + 1}",
-                from_bus=2 * i + 1,
-                to_bus=2 * i + 2,
-                from_kv=p.class_kv,
-                to_kv=lv_kv if xfmr else p.class_kv,
-                r_pu=p.r_pu_common,
-                x_pu=p.x_pu_common,
-                mva_rating=p.mva_rating,
-                tap_ratio=1.0 if xfmr else 0.0,
-                system_mva_base=system_mva_base,
-            )
-        )
-    return records
+    table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
+    xfmr = table.kind != _LINE
+    low = np.flatnonzero(xfmr & ~(lv_kv < table.class_kv))
+    if low.size:
+        raise ValueError(f"lv_kv {lv_kv} must be below class_kv {table.class_kv[low[0]]}")
+    n = len(table)
+    kvs, inverse = np.unique(table.class_kv, return_inverse=True)
+    prefixes = np.array([f"{kind}{kv:g}-" for kv in kvs.tolist() for kind in "LT"])
+    row_prefixes = prefixes[2 * inverse.ravel() + xfmr].tolist()
+    return BranchTable(
+        [f"{prefix}{i}" for i, prefix in enumerate(row_prefixes, 1)],
+        from_bus=np.arange(1, 2 * n, 2), to_bus=np.arange(2, 2 * n + 1, 2),
+        from_kv=table.class_kv, to_kv=np.where(xfmr, lv_kv, table.class_kv),
+        r_pu=table.r_pu_common, x_pu=table.x_pu_common, mva_rating=table.mva_rating,
+        tap_ratio=np.where(xfmr, 1.0, 0.0), system_mva_base=np.full(n, system_mva_base),
+    )

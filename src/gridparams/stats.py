@@ -73,8 +73,9 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def _clean(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def as_sample(values) -> np.ndarray:
+    """values as a flat float array; ValueError if it is empty or not all finite."""
+    arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(arr)):
@@ -83,7 +84,7 @@ def _clean(values) -> np.ndarray:
 
 
 def summarize(values) -> SummaryStats:
-    arr = _clean(values)
+    arr = as_sample(values)
     q10, med, q90 = np.quantile(arr, [0.10, 0.50, 0.90])
     return SummaryStats(
         n=arr.size,
@@ -100,7 +101,7 @@ def band_fraction(values, lo: float, hi: float) -> float:
     """Fraction of the sample inside the closed interval [lo, hi]."""
     if not lo < hi:
         raise ValueError(f"band requires lo < hi, got [{lo}, {hi}]")
-    arr = _clean(values)
+    arr = as_sample(values)
     return float(np.count_nonzero((arr >= lo) & (arr <= hi)) / arr.size)
 
 
@@ -117,7 +118,7 @@ def _bin_count(arr: np.ndarray, binning: Binning) -> int:
 
 
 def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:
-    arr = _clean(values)
+    arr = as_sample(values)
     if float(arr.min()) == float(arr.max()):
         raise ValueError(
             "all values identical; a zero-width histogram is degenerate, "
@@ -148,8 +149,8 @@ def _corr(dx: np.ndarray, dy: np.ndarray) -> float:
 
 def pearson(xs, ys) -> float:
     """Product-moment correlation; errors on constant series."""
-    x = _clean(xs)
-    y = _clean(ys)
+    x = as_sample(xs)
+    y = as_sample(ys)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
@@ -163,8 +164,8 @@ def pearson(xs, ys) -> float:
 
 def spearman(xs, ys) -> float:
     """Rank correlation on average ranks (ties averaged)."""
-    x = _clean(xs)
-    y = _clean(ys)
+    x = as_sample(xs)
+    y = as_sample(ys)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:

@@ -179,6 +179,17 @@ def test_arithmetic_errors_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--branches", "--case"])
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"id,from_bus\n\xff\n" if flag == "--branches" else b"\xffmpc\n")
+    proc = _gridparams("-m", "gridparams", "analyze", flag, str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    line = 2 if flag == "--branches" else 1
+    assert proc.stderr == f"error: line {line}: byte 0xff is not valid UTF-8\n"
+
+
 def test_analyze_missing_file(capsys):
     assert run(["analyze", "--branches", "/nonexistent/x.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridparams.distributions import (
@@ -170,6 +170,38 @@ def test_tls_quantile_extreme_tail():
     q = quantile(d, p)
     assert q < -1e14
     assert cdf(d, q) == pytest.approx(p, rel=1e-6)
+
+
+# The smallest and largest uniforms the sampler feeds to a quantile.
+_U_LO, _U_HI = 2.0**-53, 1.0 - 2.0**-53
+
+
+@settings(max_examples=400, deadline=None)
+@given(nu=st.floats(1.1, 200.0), p=st.floats(_U_LO, _U_HI))
+@example(nu=2.972962306873196, p=0.19635247688854612)  # stdtrit alone misses by 5e-13
+@example(nu=2.972962306873196, p=0.8036475231114539)
+def test_tls_quantile_residual_in_the_smaller_tail(nu, p):
+    d = Tls(mu=0.0, sigma=1.0, nu=nu)
+    q = quantile(d, p)
+    tail = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
+    mass = cdf(d, q) if p <= 0.5 else cdf(d, -q)  # the upper tail by symmetry
+    assert abs(mass - tail) <= 1e-13 * tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=st.floats(1.1, 200.0))
+def test_tls_quantile_is_symmetric_at_the_sampler_extremes(nu):
+    d = Tls(mu=0.0, sigma=1.0, nu=nu)
+    assert quantile(d, _U_HI) == pytest.approx(-quantile(d, _U_LO), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [3.0, 10.0, 50.0])
+def test_tls_quantile_far_below_the_sampler_range(nu):
+    # stdtrit alone returns inf here; the tail identity stays exact
+    d = Tls(mu=0.0, sigma=1.0, nu=nu)
+    q = quantile(d, 1e-300)
+    assert math.isfinite(q)
+    assert abs(cdf(d, q) - 1e-300) <= 2e-15 * 1e-300
 
 
 # ---------------------------------------------------------------- sampling

@@ -157,6 +157,45 @@ _buses = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 _floats = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
 
 
+def _reference_branch_csv(records) -> str:
+    """serialize_branch_csv written one record at a time."""
+    lines = [",".join(CSV_HEADER)]
+    for r in records:
+        cells = [r.id, str(int(r.from_bus)), str(int(r.to_bus))] + [
+            repr(float(getattr(r, name))) for name in CSV_HEADER[3:]
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# Values whose text is easy to get wrong: signed zero, subnormals, 1e16
+# (where repr switches to exponent form) and a sum that is not 0.3.
+_tricky = st.sampled_from([-0.0, 0.0, 5e-324, 2.2e-308, 1e16, -1e16, 0.1 + 0.2, 1e-5, math.inf])
+_writer_floats = st.one_of(_floats, _tricky)
+
+
+@given(st.lists(st.tuples(_ids, _buses, _buses, *[_writer_floats] * 7), max_size=30))
+def test_serialize_branch_csv_matches_the_record_loop(rows):
+    records = [BranchRecord(*row) for row in rows]
+    expected = _reference_branch_csv(records)
+    assert serialize_branch_csv(BranchTable.from_records(records)) == expected
+    assert serialize_branch_csv(records) == expected
+
+
+def test_parse_branch_csv_names_the_line_of_a_byte_that_is_not_utf8():
+    data = (",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n").encode() + b"t\xff2,1,2\n"
+    with pytest.raises(ParseError, match="0xff is not valid UTF-8") as exc:
+        parse_branch_csv(data)
+    assert exc.value.line == 3
+
+
+def test_parse_matpower_names_the_line_of_a_byte_that_is_not_utf8():
+    data = b"mpc.baseMVA = 100;\n% caf\xe9\nmpc.bus = [\n];\n"
+    with pytest.raises(ParseError, match="0xe9 is not valid UTF-8") as exc:
+        parse_matpower_case(data)
+    assert exc.value.line == 2
+
+
 @given(st.lists(st.tuples(_ids, _buses, _buses, *[_floats] * 7), max_size=30))
 def test_serialize_parse_round_trips_a_table(rows):
     table = BranchTable.from_records(BranchRecord(*row) for row in rows)

@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridparams.distributions import Gev, Normal, cdf
-from gridparams.ingest import BranchKind, classify_branch, voltage_class_table, assign_voltage_class
+from gridparams.ingest import (
+    BranchKind,
+    BranchRecord,
+    assign_voltage_class,
+    classify_branch,
+    serialize_branch_csv,
+    voltage_class_table,
+)
 from gridparams.profiles import (
     BandRef,
     ParameterKind,
@@ -19,6 +28,7 @@ from gridparams.sampler import (
     DEFAULT_LINE_REACTANCE_MEAN,
     PARAMS_CSV_HEADER,
     SyntheticBranchParams,
+    SyntheticTable,
     calibrate_reactance_tls,
     generate_lines,
     generate_transformers,
@@ -155,9 +165,9 @@ def test_generate_transformers_deterministic():
     kw = dict(profile=builtin_profile(), system_mva_base=100.0)
     a = generate_transformers(138.0, 50, seed=99, **kw)
     b = generate_transformers(138.0, 50, seed=99, **kw)
-    assert a == b
+    assert list(a) == list(b)
     c = generate_transformers(138.0, 50, seed=100, **kw)
-    assert a != c
+    assert list(a) != list(c)
 
 
 def test_generate_transformers_unknown_class():
@@ -212,7 +222,7 @@ def test_generate_lines_invariants():
 def test_generate_lines_deterministic():
     a = generate_lines(230.0, 40, seed=3, profile=_line_profile())
     b = generate_lines(230.0, 40, seed=3, profile=_line_profile())
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_default_line_reactance_mean():
@@ -228,7 +238,7 @@ def test_default_line_reactance_mean():
 
 def test_synthetic_params_validation():
     with pytest.raises(ValueError):
-        SyntheticBranchParams(
+        SyntheticTable.from_rows([SyntheticBranchParams(
             kind=BranchKind.TRANSFORMER,
             class_kv=115.0,
             mva_rating=60.0,
@@ -237,16 +247,16 @@ def test_synthetic_params_validation():
             xr=25.0,
             x_pu_own=None,  # transformers must carry own-base values
             r_pu_own=None,
-        )
+        )])
     with pytest.raises(ValueError):
-        SyntheticBranchParams(
+        SyntheticTable.from_rows([SyntheticBranchParams(
             kind=BranchKind.TRANSMISSION_LINE,
             class_kv=115.0,
             mva_rating=60.0,
             x_pu_common=0.1,
             r_pu_common=0.004,
             xr=99.0,  # inconsistent with x/r
-        )
+        )])
 
 
 def test_params_csv_shape():
@@ -265,8 +275,10 @@ def test_params_csv_shape():
 
 
 def test_params_to_branch_records_round_trip():
-    items = generate_transformers(115.0, 30, seed=5, profile=builtin_profile(), system_mva_base=100.0)
-    items += generate_lines(115.0, 30, seed=6, profile=_line_profile())
+    items = SyntheticTable.concat([
+        generate_transformers(115.0, 30, seed=5, profile=builtin_profile(), system_mva_base=100.0),
+        generate_lines(115.0, 30, seed=6, profile=_line_profile()),
+    ])
     records = params_to_branch_records(items, system_mva_base=100.0)
     assert len(records) == 60
     table = voltage_class_table([115.0, 138.0, 230.0])
@@ -287,3 +299,124 @@ def test_params_to_branch_records_lv_guard():
     items = generate_transformers(115.0, 3, seed=5, profile=builtin_profile(), system_mva_base=100.0)
     with pytest.raises(ValueError):
         params_to_branch_records(items, system_mva_base=100.0, lv_kv=115.0)
+
+
+# ------------------------------------------------- writers, row by row
+
+
+def _reference_params_csv(items) -> str:
+    """params_csv written one row at a time."""
+
+    def cell(v):
+        return "" if v is None else repr(float(v))
+
+    lines = [PARAMS_CSV_HEADER]
+    for p in items:
+        lines.append(
+            f"{p.kind.value},{cell(p.class_kv)},{cell(p.mva_rating)},{cell(p.x_pu_own)},"
+            f"{cell(p.r_pu_own)},{cell(p.x_pu_common)},{cell(p.r_pu_common)},{cell(p.xr)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _reference_branch_records(items, system_mva_base, lv_kv=13.8):
+    """params_to_branch_records built one record at a time."""
+    out = []
+    for i, p in enumerate(items):
+        xfmr = p.kind is not BranchKind.TRANSMISSION_LINE
+        out.append(
+            BranchRecord(
+                id=f"{'T' if xfmr else 'L'}{p.class_kv:g}-{i + 1}",
+                from_bus=2 * i + 1,
+                to_bus=2 * i + 2,
+                from_kv=p.class_kv,
+                to_kv=lv_kv if xfmr else p.class_kv,
+                r_pu=p.r_pu_common,
+                x_pu=p.x_pu_common,
+                mva_rating=p.mva_rating,
+                tap_ratio=1.0 if xfmr else 0.0,
+                system_mva_base=system_mva_base,
+            )
+        )
+    return out
+
+
+# Positive values whose text is easy to get wrong: subnormals, 1e16 (where
+# repr switches to exponent form) and a sum that is not 0.3.
+_positive = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.sampled_from([5e-324, 2.2e-308, 1e16, 0.1 + 0.2, 1e-5, 1.0]),
+)
+
+
+@st.composite
+def _synthetic_tables(draw):
+    """A table of transformer and line rows in random order; xr is x/r
+    on the row's primary base."""
+    kind = draw(st.lists(st.sampled_from([0, 1, 2]), max_size=12))  # indices into BranchKind
+    n = len(kind)
+    cols = {name: np.array(draw(st.lists(_positive, min_size=n, max_size=n)), dtype=float)
+            for name in ("class_kv", "mva_rating", "x_pu_common", "r_pu_common", "x_pu_own", "r_pu_own")}
+    line = np.array([tuple(BranchKind)[k] is BranchKind.TRANSMISSION_LINE for k in kind], dtype=bool)
+    cols["x_pu_own"][line] = cols["r_pu_own"][line] = math.nan
+    with np.errstate(over="ignore", under="ignore"):
+        cols["xr"] = np.where(line, cols["x_pu_common"] / cols["r_pu_common"],
+                              cols["x_pu_own"] / cols["r_pu_own"])
+    ok = (cols["xr"] > 0) & (cols["xr"] < math.inf)
+    return SyntheticTable(np.array(kind)[ok], **{name: c[ok] for name, c in cols.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=st.lists(_synthetic_tables(), min_size=1, max_size=3),
+       base=_positive, lv_kv=st.sampled_from([1e-300, 0.4, 13.8]))
+def test_writers_match_the_row_loops(tables, base, lv_kv):
+    table = SyntheticTable.concat(tables)
+    rows = list(table)
+    assert len(table) == sum(map(len, tables))
+    assert params_csv(table) == _reference_params_csv(rows)
+    assert params_csv(rows) == params_csv(table)
+    if any(r.kind is not BranchKind.TRANSMISSION_LINE and not lv_kv < r.class_kv for r in rows):
+        with pytest.raises(ValueError, match="lv_kv"):
+            params_to_branch_records(table, base, lv_kv=lv_kv)
+        return
+    records = params_to_branch_records(table, base, lv_kv=lv_kv)
+    reference = _reference_branch_records(rows, base, lv_kv)
+    assert list(records) == reference  # ids numbered across the concatenated tables
+    assert serialize_branch_csv(records) == serialize_branch_csv(reference)
+
+
+def test_synthetic_table_rows_round_trip():
+    items = SyntheticTable.concat([
+        generate_transformers(115.0, 4, seed=5, profile=builtin_profile(), system_mva_base=100.0),
+        generate_lines(138.0, 3, seed=6, profile=_line_profile()),
+    ])
+    rows = list(items)
+    assert [items[i] for i in range(len(items))] == rows
+    assert rows[0].kind is BranchKind.TRANSFORMER and rows[0].x_pu_own is not None
+    assert rows[-1].kind is BranchKind.TRANSMISSION_LINE and rows[-1].x_pu_own is None
+    back = SyntheticTable.from_rows(rows)
+    assert list(back) == rows
+    assert len(SyntheticTable.concat([])) == 0
+    assert params_csv([]) == PARAMS_CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(mva_rating=math.inf), "mva_rating must be finite"),
+        (dict(xr=-25.0), "xr must be finite"),
+        (dict(x_pu_own=None), "own-base"),
+        (dict(r_pu_own=0.0), "r_pu_own must be finite"),
+        (dict(xr=24.0), "inconsistent"),
+    ],
+)
+def test_synthetic_table_checks_every_row(change, message):
+    good = dict(kind=BranchKind.TRANSFORMER, class_kv=115.0, mva_rating=60.0, x_pu_common=0.1,
+                r_pu_common=0.004, xr=25.0, x_pu_own=0.06, r_pu_own=0.0024)
+    SyntheticTable.from_rows([SyntheticBranchParams(**good)])
+    bad = SyntheticBranchParams(**{**good, **change})
+    with pytest.raises(ValueError, match=message):
+        SyntheticTable.from_rows([SyntheticBranchParams(**good), bad])
+    line = SyntheticBranchParams(**{**good, "kind": BranchKind.TRANSMISSION_LINE})
+    with pytest.raises(ValueError, match="own-base"):
+        SyntheticTable.from_rows([line])
