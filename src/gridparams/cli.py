@@ -125,8 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(path: str, inputs: dict) -> bytes:
+    """An input file's bytes, read once; their sha256 digest goes into inputs."""
+    data = Path(path).read_bytes()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _parse_classes(text: str) -> tuple[float, ...]:
@@ -152,11 +155,9 @@ def _collect(args, inputs: dict):
     """Read the --case or --branches input and collect its samples for the
     --classes voltage classes: (class kVs, CollectedSamples)."""
     if args.case is not None:
-        inputs[args.case] = _sha256(args.case)
-        _, records = parse_matpower_case(decode_utf8(Path(args.case).read_bytes()))
+        _, records = parse_matpower_case(decode_utf8(_read_input(args.case, inputs)))
     else:
-        inputs[args.branches] = _sha256(args.branches)
-        records = parse_branch_csv(Path(args.branches).read_bytes())
+        records = parse_branch_csv(_read_input(args.branches, inputs))
     class_kvs = _parse_classes(args.classes)
     return class_kvs, collect_samples(records, class_kvs)
 
@@ -164,8 +165,7 @@ def _collect(args, inputs: dict):
 def _load_profile(spec: str, inputs: dict) -> list:
     if spec == "builtin":
         return builtin_profile()
-    inputs[spec] = _sha256(spec)
-    return parse_profile_json(Path(spec).read_text(encoding="utf-8"))
+    return parse_profile_json(decode_utf8(_read_input(spec, inputs)))
 
 
 def _meta(inputs: dict, *, seed=None, thresholds=None) -> dict:
@@ -299,9 +299,8 @@ def _cmd_validate(args) -> int:
     profile = _load_profile(args.profile, inputs)
     thresholds = DEFAULT_THRESHOLDS
     if args.thresholds is not None:
-        inputs[args.thresholds] = _sha256(args.thresholds)
         thresholds = thresholds_from_dict(
-            json.loads(Path(args.thresholds).read_text(encoding="utf-8"))
+            json.loads(decode_utf8(_read_input(args.thresholds, inputs)))
         )
     observed = observed_stats(collected, profile, binning=_binning(args.bins))
     decorr = spearman_own_by_class(decorrelation_stats(collected))

@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, ndtr, ndtri, stdtr, stdtrit
+
+# scipy.special is imported where a family needs it, not here: it costs about
+# a third of a second, and commands that evaluate no distribution never load it.
 
 __all__ = [
     "Tls",
@@ -44,6 +46,9 @@ __all__ = [
 #: Smallest uniform variate fed to the quantile transform. ``Generator.random``
 #: can return exactly 0.0, which most quantile functions reject.
 _U_MIN = 2.0 ** -53
+
+#: Smallest normal float: betaincinv loses precision on subnormal numbers.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _require_finite(name, value):
@@ -152,6 +157,8 @@ def log_pdf(d: DistSpec, x):
     """Natural log of the density; -inf outside the support."""
     arr, scalar = _split(x)
     if isinstance(d, Tls):
+        from scipy.special import gammaln
+
         z = (arr - d.mu) / d.sigma
         out = (
             gammaln((d.nu + 1.0) / 2.0)
@@ -199,10 +206,28 @@ def pdf(d: DistSpec, x):
     return _join(out, scalar)
 
 
+def _tls_log_tail_coefficient(nu: float) -> float:
+    """log C of the t cdf's power-law tail: cdf(t) = C * |t|**-nu * (1 + O(nu / t**2))
+    as t -> -inf, with C = nu**(nu/2 - 1) / B(nu/2, 1/2)."""
+    from scipy.special import betaln
+
+    return (nu / 2.0 - 1.0) * math.log(nu) - float(betaln(nu / 2.0, 0.5))
+
+
 def cdf(d: DistSpec, x):
     arr, scalar = _split(x)
     if isinstance(d, Tls):
-        out = stdtr(d.nu, (arr - d.mu) / d.sigma)
+        from scipy.special import stdtr
+
+        z = (arr - d.mu) / d.sigma
+        out = stdtr(d.nu, z)
+        with np.errstate(over="ignore", divide="ignore"):
+            # stdtr returns 0 (or 1) once t*t overflows; there the power-law
+            # tail is exact to double precision.
+            far = np.isinf(z * z) & np.isfinite(z)
+            if np.any(far):
+                tail = np.exp(_tls_log_tail_coefficient(d.nu) - d.nu * np.log(np.abs(z)))
+                out = np.where(far, np.where(z < 0, tail, 1.0 - tail), out)
     elif isinstance(d, Gev):
         s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
         inside = s > 0
@@ -216,6 +241,8 @@ def cdf(d: DistSpec, x):
         z = np.where(arr >= 0, arr, 0.0)
         out = np.where(arr >= 0, -np.expm1(-z / d.mu), 0.0)
     elif isinstance(d, Normal):
+        from scipy.special import ndtr
+
         out = ndtr((arr - d.mu) / d.sigma)
     else:
         raise TypeError(f"not a distribution spec: {d!r}")
@@ -231,20 +258,29 @@ def quantile(d: DistSpec, p):
         # Solved in the smaller tail s and mirrored, so q(1 - p) == -q(p). stdtrit's
         # cdf residual reaches 5e-13 relative near p = 0.2, nu = 3: one Newton step
         # follows. Below s = 1e-100 stdtrit fails (inf at 1e-300 for nu = 3); there the
-        # t cdf, I_x(nu/2, 1/2) / 2 at x = nu / (nu + t**2), is inverted exactly.
+        # t cdf, I_x(nu/2, 1/2) / 2 at x = nu / (nu + t**2), is inverted exactly where
+        # betaincinv can: not where its argument 2s or its result x is subnormal.
+        # There the power-law tail s = C * |t|**-nu is inverted in log space.
+        from scipy.special import betaincinv, stdtr, stdtrit
+
         s = np.minimum(arr, 1.0 - arr)  # exact: 1 - p is representable for p >= 1/2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = stdtrit(d.nu, s)
             t = t - (stdtr(d.nu, t) - s) / pdf(Tls(0.0, 1.0, d.nu), t)
             if np.any(s < 1e-100):
                 x = betaincinv(d.nu / 2.0, 0.5, 2.0 * s)
-                t = np.where(s < 1e-100, -np.sqrt(d.nu * (1.0 / x - 1.0)), t)
+                beta_t = -np.sqrt(d.nu * (1.0 / x - 1.0))
+                tail_t = -np.exp((_tls_log_tail_coefficient(d.nu) - np.log(s)) / d.nu)
+                far = (2.0 * s < _TINY) | (d.nu / (tail_t * tail_t) < _TINY)
+                t = np.where(s < 1e-100, np.where(far, tail_t, beta_t), t)
         out = d.mu + d.sigma * np.where(arr > 0.5, -t, t)
     elif isinstance(d, Gev):
         out = d.mu + d.sigma * ((-np.log(arr)) ** (-d.zeta) - 1.0) / d.zeta
     elif isinstance(d, Exponential):
         out = -d.mu * np.log1p(-arr)
     elif isinstance(d, Normal):
+        from scipy.special import ndtri
+
         out = d.mu + d.sigma * ndtri(arr)
     else:
         raise TypeError(f"not a distribution spec: {d!r}")

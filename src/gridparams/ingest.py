@@ -212,12 +212,31 @@ def decode_utf8(data: bytes) -> str:
 def parse_branch_csv(data: bytes | str) -> BranchTable:
     """Parse canonical branch CSV; raises ParseError with the failing line.
 
-    Rows are converted in chunks, column by column, with Python's int()
-    and float(); a chunk holding a bad row is re-scanned row by row so the
-    error names the first bad row's line and field.
+    The rows are read in one call to numpy's C text reader. Text that
+    reader could split differently from csv.reader (a quote; a NUL, which
+    csv.reader rejects before Python 3.11; a line longer than csv's field
+    size limit), and text it rejects, go through the row-wise reader
+    instead, which alone names a bad row's line and field.
     """
     text = decode_utf8(data) if isinstance(data, bytes) else data
+    if text and '"' not in text and "\0" not in text:
+        # Without quotes a csv record is one line, so the header is the first.
+        lines = text.split("\n")
+        header, index = _read_header(csv.reader(lines[:1]))
+        if max(map(len, lines)) <= csv.field_size_limit():
+            try:
+                return _read_columns(lines, header, index)
+            except (ValueError, OverflowError):
+                pass
+        del lines
     reader = csv.reader(io.StringIO(text))
+    header, index = _read_header(reader)
+    return _read_rows(reader, index, len(header))
+
+
+def _read_header(reader) -> tuple[list[str], dict[str, int]]:
+    """The stripped header row and each column name's index (the last, if
+    a name repeats); ParseError if a required column is missing."""
     try:
         header = next(reader)
     except StopIteration:
@@ -229,7 +248,36 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
     for name in CSV_HEADER:
         if name not in index:
             raise ParseError(f"missing required column {name!r}")
+    return header, index
 
+
+def _read_columns(lines: list[str], header: list[str], index: dict[str, int]) -> BranchTable:
+    """The rows below the header line, read by np.loadtxt; ValueError or
+    OverflowError for text the row-wise reader must judge.
+
+    csv.reader splits a line without quotes or NULs at every comma, as
+    numpy's reader does. Floats are parsed as float() parses them; bus
+    numbers are read as text and cast from object, which calls int(). So
+    both readers accept the same rows, with the same values.
+    """
+    if not any(line.strip("\r") for line in lines[1:]):
+        # Blank lines only: csv.reader skips them, and loadtxt would warn.
+        return BranchTable([], **{name: [] for name in _COLUMNS})
+    used = {i: name for name, i in index.items()}
+    dtype = np.dtype(
+        [(f"f{i}", np.float64 if used.get(i) in _FLOAT_FIELDS else object) for i in range(len(header))]
+    )
+    rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    columns = {name: rows[f"f{index[name]}"].astype(np.int64) for name in _INT_FIELDS}
+    for name in _FLOAT_FIELDS:
+        columns[name] = rows[f"f{index[name]}"].copy()
+    return BranchTable([cell.strip() for cell in rows[f"f{index['id']}"].tolist()], **columns)
+
+
+def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
+    """The rows left in a csv.reader, converted in chunks, column by column,
+    with Python's int() and float(). A chunk holding a bad row is re-scanned
+    row by row so the error names the first bad row's line and field."""
     ids: list[str] = []
     parts: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMNS}
     while True:
@@ -243,11 +291,11 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
                         break
         except csv.Error as exc:
             for row, line in zip(rows, lines):
-                _check_csv_row(row, line, index, len(header))
+                _check_csv_row(row, line, index, width)
             raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
         if not rows:
             break
-        chunk_ids, columns = _csv_columns(rows, lines, index, len(header))
+        chunk_ids, columns = _csv_columns(rows, lines, index, width)
         ids += chunk_ids
         for name in _COLUMNS:
             parts[name].append(columns[name])

@@ -144,13 +144,34 @@ def _gridparams(*argv, cwd=None):
 
 
 def test_cli_import_skips_scipy_stats_and_optimize():
+    # No scipy module at all, stats and optimize included.
     proc = _gridparams(
         "-c",
         "import sys, gridparams.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_and_hist_load_no_scipy(tmp_path):
+    # Neither command evaluates a distribution, so neither pays for scipy.
+    fleet = _generate_branches(tmp_path, n=150)
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    argvs = [
+        ["analyze", "--branches", str(fleet), "--out", str(tmp_path / "a.json")],
+        ["analyze", "--case", str(case), "--out", str(tmp_path / "b.json")],
+        ["hist", "--branches", str(fleet), "--out", str(tmp_path / "hists")],
+    ]
+    proc = _gridparams(
+        "-c",
+        "import sys; from gridparams.cli import run; "
+        f"codes = [run(argv) for argv in {argvs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("[0, 0, 0] []")
 
 
 def test_validate_zero_reference_median_is_an_input_error(tmp_path):
@@ -188,6 +209,49 @@ def test_input_that_is_not_utf8_is_an_input_error(tmp_path, flag):
     assert "Traceback" not in proc.stderr
     line = 2 if flag == "--branches" else 1
     assert proc.stderr == f"error: line {line}: byte 0xff is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_profile_or_thresholds_that_are_not_utf8_are_an_input_error(tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[\n\xff]\n")
+    if command == "generate":
+        argv = ["generate", "--class", "115", "--n", "10", "--seed", "1", "--profile", str(bad)]
+    else:
+        case = tmp_path / "case3.m"
+        case.write_text(CASE3)
+        argv = ["validate", "--case", str(case), "--thresholds", str(bad)]
+    proc = _gridparams("-m", "gridparams", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 2: byte 0xff is not valid UTF-8\n"
+
+
+def test_each_input_file_is_read_once_and_its_bytes_are_hashed(tmp_path, monkeypatch):
+    import hashlib
+
+    import gridparams.cli as cli
+
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    profile = tmp_path / "profile.json"
+    profile.write_text("[]")
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text("{}")
+    reads = []
+    read_bytes = cli.Path.read_bytes
+
+    def counted(path):
+        reads.append(str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(cli.Path, "read_bytes", counted)
+    argv = ["validate", "--case", str(case), "--profile", str(profile), "--thresholds", str(thresholds)]
+    out = tmp_path / "report.json"
+    assert run([*argv, "--out", str(out)]) in (0, 2)
+    assert sorted(reads) == sorted(map(str, (case, profile, thresholds)))
+    digests = json.loads(out.read_text())["meta"]["inputs"]
+    for path in (case, profile, thresholds):
+        assert digests[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_analyze_missing_file(capsys):

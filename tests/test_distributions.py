@@ -204,6 +204,80 @@ def test_tls_quantile_far_below_the_sampler_range(nu):
     assert abs(cdf(d, q) - 1e-300) <= 2e-15 * 1e-300
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _log_tail_coefficient(nu):
+    """log C of the t tail cdf(t) ~ C * |t|**-nu, written as the density's
+    constant times nu**((nu - 1) / 2) (a form the library does not use)."""
+    return (
+        math.lgamma((nu + 1) / 2)
+        - math.lgamma(nu / 2)
+        - 0.5 * math.log(nu * math.pi)
+        + (nu - 1) / 2 * math.log(nu)
+    )
+
+
+def test_tls_tail_matches_high_precision_values():
+    # Reference values from the regularized incomplete beta at 60 digits.
+    d = Tls(mu=0.0, sigma=1.0, nu=1.1)
+    assert cdf(d, -1e160) == pytest.approx(3.255828063e-177, rel=1e-9)
+    assert quantile(d, 1e-200) == pytest.approx(-2.372175323e181, rel=1e-9)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.5, 1.1, 2.0, 3.0])
+@pytest.mark.parametrize("t", [-1.4e154, -1e160, -1e200, -1e300, -1.7e308])
+def test_tls_cdf_past_the_overflow_of_t_squared_is_the_power_law_tail(nu, t):
+    d = Tls(mu=0.0, sigma=1.0, nu=nu)
+    expected = math.exp(_log_tail_coefficient(nu) - nu * math.log(-t))
+    assert cdf(d, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert cdf(d, -t) == pytest.approx(1.0 - expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.01, 1.1, 3.0, 50.0])
+def test_tls_cdf_below_the_overflow_of_t_squared_is_stdtr(nu):
+    from scipy.special import stdtr
+
+    t = np.array([-1.3e154, -1e150, -1e10, -2.5, 0.0, 3.0, 1e150, 1.3e154])
+    assert cdf(Tls(mu=0.0, sigma=1.0, nu=nu), t).tobytes() == stdtr(nu, t).tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.1, 2.1, 3.0, 10.0])
+@pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-310, 2e-308])
+def test_tls_quantile_of_a_subnormal_tail_is_the_power_law_tail(nu, p):
+    # betaincinv loses precision on a subnormal argument; there |t| is large
+    # enough that the power law holds to double precision.
+    log_t = (_log_tail_coefficient(nu) - math.log(p)) / nu
+    q = quantile(Tls(mu=0.0, sigma=1.0, nu=nu), p)
+    if log_t > math.log(np.finfo(float).max):
+        assert q == -math.inf
+    else:
+        assert q == pytest.approx(-math.exp(log_t), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(0.05, 3.0), log_p=st.floats(math.log(_TINY), math.log(1e-100)))
+@example(nu=1.1, log_p=math.log(1e-200))
+@example(nu=2.0, log_p=math.log(_TINY))
+def test_tls_quantile_round_trips_in_the_far_tail(nu, log_p):
+    d = Tls(mu=0.0, sigma=1.0, nu=nu)
+    p = math.exp(log_p)
+    q = quantile(d, p)
+    if (_log_tail_coefficient(nu) - log_p) / nu > math.log(np.finfo(float).max):
+        assert q == -math.inf  # beyond the largest float
+    else:
+        assert abs(cdf(d, q) - p) <= 1e-12 * p
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.1, 2.0, 2.1, 3.0, 10.0])
+def test_tls_quantile_is_monotone_across_the_tail_methods(nu):
+    q = quantile(Tls(mu=0.0, sigma=1.0, nu=nu), np.logspace(-323.3, -99.0, 4000))
+    finite = np.isfinite(q)
+    assert np.all(q[~finite] == -math.inf)  # only below the largest float
+    assert np.all(np.diff(finite.astype(int)) >= 0)
+    assert np.all(np.diff(q[finite]) >= 0)
+
+
 # ---------------------------------------------------------------- sampling
 
 

@@ -1,12 +1,15 @@
 """Branch table parsing, cleaning filters, and kind/voltage classification."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridparams import ingest
 from gridparams.ingest import (
     CSV_HEADER,
     DEFAULT_RATING_BOUNDS,
@@ -225,6 +228,127 @@ def test_parse_branch_csv_raises_only_parse_error(rows):
         parse_branch_csv(text)
     except ParseError:
         pass
+
+
+def _row_wise_branch_csv(text):
+    """parse_branch_csv through its row-wise reader alone: the reference."""
+    reader = csv.reader(io.StringIO(text))
+    header, index = ingest._read_header(reader)
+    return ingest._read_rows(reader, index, len(header))
+
+
+def _outcome(parse, text):
+    """A parse's table, column bytes and all, or its ParseError text and line."""
+    try:
+        table = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("table", table.ids, *(getattr(table, name).tobytes() for name in CSV_HEADER[1:]))
+
+
+_HEADERS = [
+    list(CSV_HEADER),
+    list(CSV_HEADER[::-1]),
+    [*CSV_HEADER, ""],  # a trailing comma
+    [*CSV_HEADER, "note"],  # an extra column
+    ["x_pu", *CSV_HEADER],  # a duplicate: the last x_pu is the one read
+    [*CSV_HEADER, "from_bus"],  # a duplicated bus column
+    [" id ", *CSV_HEADER[1:]],  # names are stripped
+]
+
+
+def _kind(name):
+    name = name.strip()
+    if name == "id":
+        return "id"
+    return "bus" if name in ("from_bus", "to_bus") else "float" if name in CSV_HEADER else "other"
+
+
+# Cells both readers accept.
+_VALID = {
+    "id": st.text(alphabet="ab Z9-_.\u00e9", max_size=5),
+    "bus": st.sampled_from(
+        ["1", " 2 ", "+3", "-4", "0", "\u20035", "9223372036854775807", "-9223372036854775808"]
+    ),
+    "float": st.sampled_from(
+        ["0.5", " 1e3 ", "-2", "nan", "-nan", "NaN", "Infinity", "-inf", "1e400", "1e-320", "+.5", "5.",
+         "\u20032"]
+    ),
+    "other": st.text(alphabet="a1 ", max_size=3),
+}
+# Cells that only the row-wise reader accepts ("_" in numbers, non-ASCII
+# digits), that the readers split differently (quotes, NUL, CR), and cells
+# that fail ("5.0" and values beyond int64 in bus columns, empty and
+# non-numeric text).
+_TRICKY = {
+    "id": st.sampled_from(['"q"', '"a,b"', 'x"', "\x00", "a\rb", ""]),
+    "bus": st.sampled_from(
+        ["1_0", "\u0661\u0662", "5.0", "9223372036854775808", "-9223372036854775809", "", "x", '"7"', "1e3"]
+    ),
+    "float": st.sampled_from(
+        ["1_0.5", "\u0661\u0662", "", " ", "abc", "0x1", '"1"', "\x00", "1,5", "--1", "1e"]
+    ),
+    "other": st.sampled_from([",", '"', "", "\x00"]),
+}
+
+
+@st.composite
+def _branch_csv_texts(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    kinds = [_kind(name) for name in header]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["valid", "valid", "valid", "tricky", "blank", "text"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r", "\r\r"])))
+        elif shape == "text":
+            lines.append(draw(st.text(max_size=20)))
+        else:
+            cells = [draw(_VALID[kind]) for kind in kinds]
+            if shape == "tricky":
+                i = draw(st.integers(0, len(cells) - 1))
+                cells[i] = draw(_TRICKY[kinds[i]])
+            lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if draw(st.booleans()) else text
+
+
+_PLAIN = ",".join(CSV_HEADER) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_csv_texts())
+@example("")
+@example(_PLAIN)
+@example(_PLAIN + "\n\r\n\n")
+@example(_PLAIN + GOOD_ROW.replace("t1", '"t1"') + "\n")
+@example(_PLAIN + GOOD_ROW.replace("t1", "t\x001") + "\n")
+@example(_PLAIN.replace("\n", "\r") + GOOD_ROW + "\r")
+@example(_PLAIN.replace("\n", "\r\n") + GOOD_ROW + "\r\n \r\n")
+@example(_PLAIN + GOOD_ROW.replace(",1,", ",5.0,") + "\n")
+def test_parse_branch_csv_matches_the_row_wise_reader(text):
+    assert _outcome(parse_branch_csv, text) == _outcome(_row_wise_branch_csv, text)
+
+
+def test_parse_branch_csv_reads_plain_text_without_the_row_wise_reader(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row-wise reader used")
+
+    text = _PLAIN.replace("\n", "\r\n") + (GOOD_ROW + "\r\n") * 3
+    expected = list(_row_wise_branch_csv(text))
+    monkeypatch.setattr(ingest, "_read_rows", refuse)
+    assert list(parse_branch_csv(text)) == expected
+    with pytest.raises(AssertionError, match="row-wise"):
+        parse_branch_csv(_PLAIN + GOOD_ROW.replace("t1", '"t1"') + "\n")
+
+
+def test_parse_branch_csv_field_longer_than_the_csv_limit():
+    long_id = "t" * (csv.field_size_limit() + 1)
+    text = _PLAIN + GOOD_ROW + "\n" + GOOD_ROW.replace("t1", long_id) + "\n"
+    with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as exc:
+        parse_branch_csv(text)
+    assert exc.value.line == 3
 
 
 _case_fragments = st.sampled_from(
