@@ -23,7 +23,7 @@ from .analysis import (
     spearman_own_by_class,
 )
 from .fitting import fit_and_score, select_best
-from .ingest import ParseError, decode_utf8, parse_branch_csv, parse_matpower_case
+from .ingest import decode_utf8, parse_branch_csv, parse_matpower_case
 from .ingest import serialize_branch_csv
 from .distributions import family_tag, to_json as dist_to_json
 from .profiles import (
@@ -189,17 +189,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _summary_dict(stats) -> dict:
-    s = stats.summary
-    return {
-        "n": s.n,
-        "median": s.median,
-        "mean": s.mean,
-        "min": s.min,
-        "max": s.max,
-        "q10": s.q10,
-        "q90": s.q90,
-        "band_fraction": stats.band_fraction,
-    }
+    return {**dataclasses.asdict(stats.summary), "band_fraction": stats.band_fraction}
 
 
 def _cmd_analyze(args) -> int:
@@ -216,17 +206,9 @@ def _cmd_analyze(args) -> int:
             stats = observed.get((kind, kv))
             entry[kind.value] = "no data" if stats is None else _summary_dict(stats)
         d = decorr.get(kv)
-        entry["decorrelation"] = (
-            "no data"
-            if d is None
-            else {
-                "n": d.n,
-                "pearson_own": d.pearson_own,
-                "spearman_own": d.spearman_own,
-                "pearson_common": d.pearson_common,
-                "spearman_common": d.spearman_common,
-            }
-        )
+        entry["decorrelation"] = "no data" if d is None else {
+            k: v for k, v in dataclasses.asdict(d).items() if k != "class_kv"  # the section's key
+        }
         entry["autotransformer_suspects"] = collected.suspect_counts.get(kv, 0)
         classes_out[f"{kv:g}"] = entry
 
@@ -248,16 +230,10 @@ def _cmd_analyze(args) -> int:
 
 def _fit_entry(fit, score) -> dict:
     return {
+        **dataclasses.asdict(fit),
         "family": family_tag(fit.dist),
         "dist": dist_to_json(fit.dist),
-        "log_likelihood": fit.log_likelihood,
-        "n": fit.n,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "message": fit.message,
-        "d_kl": score.d_kl,
-        "bins_used": score.bins_used,
-        "empty_bins_skipped": score.empty_bins_skipped,
+        **dataclasses.asdict(score),
     }
 
 
@@ -371,11 +347,9 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError, RuntimeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
+        # ParseError and json.JSONDecodeError are ValueErrors.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

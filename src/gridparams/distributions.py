@@ -16,6 +16,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ __all__ = [
     "sample_stream",
     "to_json",
     "from_json",
+    "fields_from_json",
+    "number_from_json",
 ]
 
 #: Smallest uniform variate fed to the quantile transform. ``Generator.random``
@@ -51,9 +54,12 @@ _U_MIN = 2.0 ** -53
 _TINY = float(np.finfo(float).tiny)
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _require_finite(d) -> None:
+    """ValueError naming the first of d's fields that is not finite."""
+    for f in dataclasses.fields(d):
+        value = getattr(d, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,7 @@ class Tls:
     nu: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
-        _require_finite("nu", self.nu)
+        _require_finite(self)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.nu <= 0:
@@ -92,9 +96,7 @@ class Gev:
     zeta: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
-        _require_finite("zeta", self.zeta)
+        _require_finite(self)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.zeta == 0:
@@ -108,7 +110,7 @@ class Exponential:
     mu: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
+        _require_finite(self)
         if self.mu <= 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
 
@@ -119,29 +121,30 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        _require_finite("mu", self.mu)
-        _require_finite("sigma", self.sigma)
+        _require_finite(self)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
 DistSpec = Tls | Gev | Exponential | Normal
 
-FAMILIES = ("tls", "gev", "exponential", "normal")
+_TYPE_BY_FAMILY = {"tls": Tls, "gev": Gev, "exponential": Exponential, "normal": Normal}
+_FAMILY_BY_TYPE = {t: family for family, t in _TYPE_BY_FAMILY.items()}
 
-_FAMILY_BY_TYPE = {Tls: "tls", Gev: "gev", Exponential: "exponential", Normal: "normal"}
-_N_PARAMS = {"tls": 3, "gev": 3, "exponential": 1, "normal": 2}
+FAMILIES = tuple(_TYPE_BY_FAMILY)
 
 
 def family_tag(d: DistSpec) -> str:
-    return _FAMILY_BY_TYPE[type(d)]
+    try:
+        return _FAMILY_BY_TYPE[type(d)]
+    except KeyError:
+        raise TypeError(f"not a distribution spec: {d!r}") from None
 
 
 def n_params(family: str) -> int:
-    try:
-        return _N_PARAMS[family]
-    except KeyError:
-        raise ValueError(f"unknown distribution family: {family!r}") from None
+    if family not in FAMILIES:
+        raise ValueError(f"unknown distribution family: {family!r}")
+    return len(dataclasses.fields(_TYPE_BY_FAMILY[family]))
 
 
 def _split(x):
@@ -303,34 +306,38 @@ def sample(d: DistSpec, seed: int, n: int) -> np.ndarray:
 
 
 def to_json(d: DistSpec) -> dict:
-    """JSON-ready encoding: {"family": ..., "params": {...}}."""
-    if isinstance(d, Tls):
-        params = {"mu": d.mu, "sigma": d.sigma, "nu": d.nu}
-    elif isinstance(d, Gev):
-        params = {"mu": d.mu, "sigma": d.sigma, "zeta": d.zeta}
-    elif isinstance(d, Exponential):
-        params = {"mu": d.mu}
-    elif isinstance(d, Normal):
-        params = {"mu": d.mu, "sigma": d.sigma}
-    else:
-        raise TypeError(f"not a distribution spec: {d!r}")
-    return {"family": family_tag(d), "params": params}
+    """JSON-ready encoding: {"family": ..., "params": {field: value}}."""
+    return {"family": family_tag(d), "params": dataclasses.asdict(d)}
 
 
 def from_json(obj: dict) -> DistSpec:
+    """Inverse of to_json."""
     family = obj.get("family")
-    params = obj.get("params")
-    if not isinstance(params, dict):
-        raise ValueError(f"distribution JSON needs a params object, got {obj!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown distribution family: {family!r}")
+    return fields_from_json(_TYPE_BY_FAMILY[family], obj.get("params"), f"{family} params")
+
+
+def fields_from_json(cls, obj, what: str):
+    """An instance of the dataclass cls from a JSON object keyed by its field
+    names, each value converted with float(). A value that is not such an
+    object, an unknown or missing field, and a value float() cannot take
+    raise ValueError naming what was being read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    values = {name: number_from_json(value, f"{what} {name}") for name, value in obj.items()}
     try:
-        if family == "tls":
-            return Tls(float(params["mu"]), float(params["sigma"]), float(params["nu"]))
-        if family == "gev":
-            return Gev(float(params["mu"]), float(params["sigma"]), float(params["zeta"]))
-        if family == "exponential":
-            return Exponential(float(params["mu"]))
-        if family == "normal":
-            return Normal(float(params["mu"]), float(params["sigma"]))
-    except KeyError as exc:
-        raise ValueError(f"family {family!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown distribution family: {family!r}")
+        return cls(**values)
+    except TypeError as exc:  # a field without a default is missing
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def number_from_json(value, what: str) -> float:
+    """float(value); ValueError naming what was being read if float() cannot take it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what}: expected a number, got {value!r}") from None

@@ -11,7 +11,7 @@ penalty instead of an infinite objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,21 +251,17 @@ def select_best(scored) -> tuple[FitResult, KlScore]:
 
 
 def fit_and_score(
-    values,
-    *,
-    binning: Binning = FreedmanDiaconis(),
-    families=FAMILIES,
-    options: FitOptions = FitOptions(),
+    values, *, binning: Binning = FreedmanDiaconis()
 ) -> list[tuple[FitResult, KlScore]]:
-    """Fit every requested family to the sample and score each against
-    one shared histogram. Families whose support cannot hold the sample
-    (ValueError from fit_mle) are skipped."""
+    """Fit every family to the sample and score each against one shared
+    histogram. Families whose support cannot hold the sample (ValueError
+    from fit_mle) are skipped."""
     x = as_sample(values)
     hist = histogram(x, binning)
     out = []
-    for family in families:
+    for family in FAMILIES:
         try:
-            fit = fit_mle(family, x, options)
+            fit = fit_mle(family, x)
         except ValueError:
             continue
         out.append((fit, kl_divergence(hist, fit.dist)))

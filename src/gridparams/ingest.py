@@ -194,12 +194,6 @@ class FilterOutcome:
     rejected: list[tuple[BranchRecord, RejectReason]]
 
 
-#: Rows converted per batch when parsing CSV: large enough that the
-#: per-batch cost vanishes, small enough that a batch's cell strings stay
-#: a small share of the parsed table's memory.
-_CHUNK_ROWS = 8192
-
-
 def decode_utf8(data: bytes) -> str:
     """The UTF-8 text of data; a byte that is not UTF-8 raises ParseError naming its line."""
     try:
@@ -275,73 +269,40 @@ def _read_columns(lines: list[str], header: list[str], index: dict[str, int]) ->
 
 
 def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
-    """The rows left in a csv.reader, converted in chunks, column by column,
-    with Python's int() and float(). A chunk holding a bad row is re-scanned
-    row by row so the error names the first bad row's line and field."""
+    """The rows left in a csv.reader, converted row by row with Python's
+    int() and float(); the first bad row raises a ParseError naming its
+    line and field. Values go into C arrays, not lists of Python objects."""
+    # Imported here: array is an extension module, and only this fallback uses it.
+    from array import array
+
     ids: list[str] = []
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMNS}
-    while True:
-        rows, lines = [], []
-        try:
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-                    if len(rows) == _CHUNK_ROWS:
-                        break
-        except csv.Error as exc:
-            for row, line in zip(rows, lines):
-                _check_csv_row(row, line, index, width)
-            raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
-        if not rows:
-            break
-        chunk_ids, columns = _csv_columns(rows, lines, index, width)
-        ids += chunk_ids
-        for name in _COLUMNS:
-            parts[name].append(columns[name])
-        if len(rows) < _CHUNK_ROWS:
-            break
-    return BranchTable(ids, **{name: np.concatenate(parts[name] or [[]]) for name in _COLUMNS})
-
-
-def _csv_columns(rows, lines, index, width) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Convert one chunk of CSV rows column by column."""
-    n = len(rows)
+    columns = {name: array("q" if name in _INT_FIELDS else "d") for name in _COLUMNS}
     try:
-        if len(set(map(len, rows))) != 1 or len(rows[0]) != width:
-            raise ValueError("ragged rows")
-        cells = list(zip(*rows))
-        columns = {
-            name: np.fromiter(map(int, map(str.strip, cells[index[name]])), np.int64, n)
-            for name in _INT_FIELDS
-        }
-        for name in _FLOAT_FIELDS:
-            columns[name] = np.fromiter(map(float, map(str.strip, cells[index[name]])), np.float64, n)
-    except (ValueError, OverflowError):
-        for row, line in zip(rows, lines):
-            _check_csv_row(row, line, index, width)
-        raise
-    return [cell.strip() for cell in cells[index["id"]]], columns
-
-
-def _check_csv_row(row, line, index, width) -> None:
-    """Raise the ParseError for a bad row; return quietly for a good one."""
-    if len(row) != width:
-        raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
-    for name in _INT_FIELDS:
-        raw = row[index[name]].strip()
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"column {name!r}: not an integer: {raw!r}", line=line) from None
-        if not _INT64.min <= value <= _INT64.max:
-            raise ParseError(f"column {name!r}: integer out of range: {raw!r}", line=line)
-    for name in _FLOAT_FIELDS:
-        raw = row[index[name]].strip()
-        try:
-            float(raw)
-        except ValueError:
-            raise ParseError(f"column {name!r}: not a number: {raw!r}", line=line) from None
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
+            for name in _INT_FIELDS:
+                raw = row[index[name]].strip()
+                try:
+                    value = int(raw)
+                except ValueError:
+                    raise ParseError(f"column {name!r}: not an integer: {raw!r}", line=line) from None
+                if not _INT64.min <= value <= _INT64.max:
+                    raise ParseError(f"column {name!r}: integer out of range: {raw!r}", line=line)
+                columns[name].append(value)
+            for name in _FLOAT_FIELDS:
+                raw = row[index[name]].strip()
+                try:
+                    columns[name].append(float(raw))
+                except ValueError:
+                    raise ParseError(f"column {name!r}: not a number: {raw!r}", line=line) from None
+            ids.append(row[index["id"]].strip())
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from None
+    return BranchTable(ids, **columns)
 
 
 def serialize_branch_csv(records) -> str:

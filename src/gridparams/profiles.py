@@ -28,10 +28,13 @@ from .distributions import (
     FAMILIES,
     DistSpec,
     family_tag,
+    fields_from_json,
     from_json as dist_from_json,
+    number_from_json,
     to_json as dist_to_json,
 )
 from .fitting import fit_and_score, kl_divergence, select_best
+from .ingest import VoltageClass
 from .stats import Histogram, SummaryStats
 
 __all__ = [
@@ -95,9 +98,6 @@ EXPECTED_FAMILY = {
     ParameterKind.LINE_XR: "normal",
 }
 
-_SUMMARY_FIELDS = ("median", "mean", "min", "max", "q10", "q90")
-
-
 @dataclass(frozen=True)
 class SummaryRef:
     """Published summary values; any field may be absent (None)."""
@@ -110,15 +110,15 @@ class SummaryRef:
     q90: float | None = None
 
     def __post_init__(self):
-        for name in _SUMMARY_FIELDS:
-            v = getattr(self, name)
+        values = dataclasses.asdict(self)
+        for name, v in values.items():
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"summary field {name} must be finite, got {v}")
         if self.min is not None and self.max is not None and self.min > self.max:
             raise ValueError(f"summary min {self.min} exceeds max {self.max}")
         if self.q10 is not None and self.q90 is not None and self.q10 > self.q90:
             raise ValueError(f"summary q10 {self.q10} exceeds q90 {self.q90}")
-        if all(getattr(self, name) is None for name in _SUMMARY_FIELDS):
+        if all(v is None for v in values.values()):
             raise ValueError("summary must carry at least one value")
 
 
@@ -189,17 +189,20 @@ class ReferenceEntry:
 
 
 def _check_unique(entries) -> None:
-    seen = set()
+    """ValueError when two entries of one kind name the same voltage class,
+    as lookup() matches classes."""
+    seen = []
     for e in entries:
-        key = (e.kind, e.class_kv)
-        if key in seen:
+        if lookup(seen, e.kind, e.class_kv) is not None:
             raise ValueError(f"duplicate profile entry for {e.kind.value} at {e.class_kv:g} kV")
-        seen.add(key)
+        seen.append(e)
 
 
 def lookup(profile, kind: ParameterKind, class_kv: float) -> ReferenceEntry | None:
+    """The entry for kind whose class_kv matches class_kv within the
+    voltage-class tolerance with which records are classed, or None."""
     for e in profile:
-        if e.kind is kind and e.class_kv == class_kv:
+        if e.kind is kind and VoltageClass(e.class_kv).matches(class_kv):
             return e
     return None
 
@@ -229,11 +232,7 @@ DEFAULT_THRESHOLDS = ValidationThresholds()
 
 
 def thresholds_from_dict(obj: dict) -> ValidationThresholds:
-    names = {f.name for f in dataclasses.fields(ValidationThresholds)}
-    unknown = set(obj) - names
-    if unknown:
-        raise ValueError(f"unknown threshold names: {sorted(unknown)}")
-    return ValidationThresholds(**{k: float(v) for k, v in obj.items()})
+    return fields_from_json(ValidationThresholds, obj, "threshold")
 
 
 @dataclass(frozen=True)
@@ -275,6 +274,8 @@ class ObservedClassStats:
 
 
 def _entry_from_dict(obj: dict) -> ReferenceEntry:
+    if not isinstance(obj, dict):
+        raise ValueError(f"profile entry must be a JSON object, got {obj!r}")
     try:
         kind = ParameterKind(obj["kind"])
     except KeyError:
@@ -284,50 +285,34 @@ def _entry_from_dict(obj: dict) -> ReferenceEntry:
     if "class_kv" not in obj:
         raise ValueError(f"profile entry missing class_kv: {obj!r}")
 
-    summary = None
-    if obj.get("summary") is not None:
-        raw = obj["summary"]
-        bad = set(raw) - set(_SUMMARY_FIELDS)
-        if bad:
-            raise ValueError(f"unknown summary fields: {sorted(bad)}")
-        summary = SummaryRef(**{k: float(v) for k, v in raw.items()})
-
-    band = None
-    if obj.get("band") is not None:
-        raw = obj["band"]
-        band = BandRef(lo=float(raw["lo"]), hi=float(raw["hi"]), fraction=float(raw["fraction"]))
-
-    family = None
-    fitted = None
-    if obj.get("fitted") is not None:
-        raw = obj["fitted"]
+    family = fitted = None
+    raw = obj.get("fitted")
+    if raw is not None:
+        if not isinstance(raw, dict):
+            raise ValueError(f"fitted must be a JSON object, got {raw!r}")
         family = raw.get("family")
         if raw.get("params") is not None:
             fitted = dist_from_json(raw)
             family = family_tag(fitted)
 
-    d_kl = obj.get("reference_d_kl")
+    summary, band, d_kl = (obj.get(name) for name in ("summary", "band", "reference_d_kl"))
     return ReferenceEntry(
         kind=kind,
-        class_kv=float(obj["class_kv"]),
-        summary=summary,
-        band=band,
+        class_kv=number_from_json(obj["class_kv"], "class_kv"),
+        summary=None if summary is None else fields_from_json(SummaryRef, summary, "summary"),
+        band=None if band is None else fields_from_json(BandRef, band, "band"),
         family=family,
         fitted=fitted,
-        reference_d_kl=None if d_kl is None else float(d_kl),
+        reference_d_kl=None if d_kl is None else number_from_json(d_kl, "reference_d_kl"),
     )
 
 
 def _entry_to_dict(e: ReferenceEntry) -> dict:
     out: dict = {"kind": e.kind.value, "class_kv": e.class_kv}
     if e.summary is not None:
-        out["summary"] = {
-            k: getattr(e.summary, k)
-            for k in _SUMMARY_FIELDS
-            if getattr(e.summary, k) is not None
-        }
+        out["summary"] = {k: v for k, v in dataclasses.asdict(e.summary).items() if v is not None}
     if e.band is not None:
-        out["band"] = {"lo": e.band.lo, "hi": e.band.hi, "fraction": e.band.fraction}
+        out["band"] = dataclasses.asdict(e.band)
     if e.fitted is not None:
         out["fitted"] = dist_to_json(e.fitted)
     elif e.family is not None:
@@ -368,6 +353,7 @@ def builtin_profile() -> list[ReferenceEntry]:
 
 
 def _finding(entry, check, observed, expected, threshold, ok, note=""):
+    """entry's Finding of check: pass or fail by ok, or skipped when ok is None."""
     return Finding(
         kind=entry.kind,
         class_kv=entry.class_kv,
@@ -375,22 +361,13 @@ def _finding(entry, check, observed, expected, threshold, ok, note=""):
         observed=observed,
         expected=expected,
         threshold=threshold,
-        status="pass" if ok else "fail",
+        status="skipped" if ok is None else "pass" if ok else "fail",
         note=note,
     )
 
 
 def _skipped(entry, check, note):
-    return Finding(
-        kind=entry.kind,
-        class_kv=entry.class_kv,
-        check=check,
-        observed=None,
-        expected=None,
-        threshold="none",
-        status="skipped",
-        note=note,
-    )
+    return _finding(entry, check, None, None, "none", None, note)
 
 
 def _check_family_rank(entry, obs, margin: float) -> Finding:
@@ -419,8 +396,9 @@ def validate(
 ) -> ValidationReport:
     """Check observed per-class statistics against a reference profile.
 
-    observed maps (ParameterKind, class_kv) to ObservedClassStats; class_kv
-    keys must equal the profile's nominal values exactly. Per entry, every
+    observed maps (ParameterKind, class_kv) to ObservedClassStats; a class_kv
+    key is the entry's class when it matches the entry's class_kv within the
+    voltage-class tolerance, as lookup() matches it. Per entry, every
     check whose reference data exists runs: MedianCheck (relative median
     deviation), BandCheck (absolute band-mass deviation), RangeCheck
     (observed extremes inside the reference range expanded about its center
@@ -434,7 +412,10 @@ def validate(
     _check_unique(profile)
     findings: list[Finding] = []
     for entry in profile:
-        obs = observed.get((entry.kind, entry.class_kv))
+        same_class = VoltageClass(entry.class_kv).matches
+        obs = next(
+            (o for (kind, kv), o in observed.items() if kind is entry.kind and same_class(kv)), None
+        )
         if obs is None or obs.summary.n == 0:
             findings.append(_skipped(entry, "CoverageCheck", "no observed data for this class"))
             continue
@@ -500,9 +481,9 @@ def validate(
                 )
 
         if entry.kind is ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE:
-            rho = None
-            if transformer_decorrelation is not None:
-                rho = transformer_decorrelation.get(entry.class_kv)
+            rho = next(
+                (r for kv, r in (transformer_decorrelation or {}).items() if same_class(kv)), None
+            )
             if rho is None:
                 findings.append(
                     _skipped(entry, "DecorrelationCheck", "reactance-rating correlation not provided")
@@ -522,27 +503,17 @@ def validate(
     return ValidationReport(findings=tuple(findings), overall_pass=overall, thresholds=thresholds)
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+def _jsonable(pairs) -> dict:
+    """dataclasses.asdict's dict_factory for JSON: enums by value, tuples as lists."""
+    return {
+        k: v.value if isinstance(v, Enum) else list(v) if isinstance(v, tuple) else v
+        for k, v in pairs
+    }
 
 
 def report_to_dict(report: ValidationReport) -> dict:
     return {
-        "findings": [
-            {
-                "kind": f.kind.value,
-                "class_kv": f.class_kv,
-                "check": f.check,
-                "observed": _jsonable(f.observed),
-                "expected": _jsonable(f.expected),
-                "threshold": f.threshold,
-                "status": f.status,
-                "note": f.note,
-            }
-            for f in report.findings
-        ],
+        "findings": [dataclasses.asdict(f, dict_factory=_jsonable) for f in report.findings],
         "overall_pass": report.overall_pass,
         "thresholds": dataclasses.asdict(report.thresholds),
     }

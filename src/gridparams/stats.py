@@ -163,14 +163,8 @@ def pearson(xs, ys) -> float:
 
 
 def spearman(xs, ys) -> float:
-    """Rank correlation on average ranks (ties averaged)."""
-    x = as_sample(xs)
-    y = as_sample(ys)
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
-    return pearson(_average_ranks(x), _average_ranks(y))
+    """Rank correlation on average ranks (ties averaged); pearson() checks the ranks' lengths."""
+    return pearson(_average_ranks(as_sample(xs)), _average_ranks(as_sample(ys)))
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:

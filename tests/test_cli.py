@@ -1,14 +1,20 @@
 """Command-line workflows, exercised in process through run()."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridparams.cli import run
+from gridparams.profiles import ValidationThresholds, builtin_profile, serialize_profile_json
 
 CASE3 = """\
 function mpc = case3
@@ -342,3 +348,95 @@ def test_stdout_output_matches_file(tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run(["analyze", "--branches", str(fleet), "--out", str(out)]) == 0
     assert stdout_payload == out.read_text()
+
+
+def test_memory_error_is_an_input_error(monkeypatch, capsys):
+    import gridparams.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(cli, "generate_transformers", out_of_memory)
+    assert run(["generate", "--class", "115", "--n", "100000000000", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 745. GiB for an array with shape (100000000000,)\n"
+    )
+
+
+def test_classes_match_profile_entries_within_the_class_tolerance(tmp_path):
+    fleet = _generate_branches(tmp_path, n=150)
+    findings = []
+    for classes in ("115,138,230", "115.0000000001,138,230"):
+        out = tmp_path / "report.json"
+        assert run(["validate", "--branches", str(fleet), "--classes", classes, "--out", str(out)]) == 0
+        findings.append(json.loads(out.read_text())["findings"])
+    assert findings[0] == findings[1]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_BUILTIN = json.loads(serialize_profile_json(builtin_profile()))
+
+
+@st.composite
+def _profiles(draw):
+    """Any JSON value, or the builtin profile with one value replaced by one."""
+    if draw(st.booleans()):
+        return draw(_json_values)
+    profile = json.loads(json.dumps(_BUILTIN))
+    entry = draw(st.sampled_from(profile))
+    key = draw(st.sampled_from(["kind", "class_kv", "summary", "band", "fitted", "reference_d_kl", "x"]))
+    if isinstance(entry.get(key), dict) and draw(st.booleans()):
+        inner = entry[key]
+        if "params" in inner and draw(st.booleans()):
+            inner = inner["params"]
+        inner[draw(st.sampled_from([*inner, "hi", "params", "x"]))] = draw(_json_values)
+    else:
+        entry[key] = draw(_json_values)
+    return profile
+
+
+_thresholds = _json_values | st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ValidationThresholds)] + ["x"]),
+    _json_values | st.floats(0.0, 10.0),
+    max_size=3,
+)
+
+
+def _run_quietly(argv):
+    """run(argv): (exit code, stderr); stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles(), st.sampled_from(["analyze", "validate", "generate"]), _thresholds | st.none())
+@example([1], "validate", None)
+@example([{"kind": "TransformerXr", "class_kv": 115, "band": {"lo": 1, "fraction": 0.5}}], "validate", None)
+@example([{"kind": "TransformerXr", "class_kv": 115, "fitted": 3}], "validate", None)
+@example([{"kind": "TransformerXr", "class_kv": 115, "summary": {"median": None}}], "validate", None)
+@example(_BUILTIN, "validate", {"median_rel": None})
+def test_any_profile_or_thresholds_json_exits_0_1_or_2_without_a_traceback(profile, command, thresholds):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "case3.m").write_text(CASE3)
+        (tmp / "profile.json").write_text(json.dumps(profile))
+        if command == "generate":
+            argv = ["generate", "--class", "115", "--n", "5", "--seed", "1"]
+        else:
+            argv = [command, "--case", str(tmp / "case3.m")]
+        argv += ["--profile", str(tmp / "profile.json")]
+        if command == "validate" and thresholds is not None:
+            (tmp / "thresholds.json").write_text(json.dumps(thresholds))
+            argv += ["--thresholds", str(tmp / "thresholds.json")]
+        code, err = _run_quietly(argv)
+    assert code in ((0, 1) if command != "validate" else (0, 1, 2))
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

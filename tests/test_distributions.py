@@ -339,3 +339,11 @@ def test_from_json_rejects_unknown_family():
 def test_from_json_rejects_missing_param():
     with pytest.raises((ValueError, TypeError)):
         from_json({"family": "normal", "params": {"mu": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "params", [None, [1.0], {"mu": 0.0}, {"mu": 0.0, "sigma": None}, {"mu": 0.0, "sigma": 1.0, "nu": 3.0}]
+)
+def test_from_json_names_malformed_params(params):
+    with pytest.raises(ValueError, match="normal params"):
+        from_json({"family": "normal", "params": params})

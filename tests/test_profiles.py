@@ -120,6 +120,16 @@ def test_duplicate_entries_rejected():
         parse_profile_json(blob)
 
 
+def test_classes_match_within_the_voltage_class_tolerance():
+    a = ReferenceEntry(kind=ParameterKind.LINE_CAPACITY, class_kv=115.0, family="normal")
+    b = ReferenceEntry(kind=ParameterKind.LINE_CAPACITY, class_kv=138.0, family="normal")
+    assert lookup([a, b], ParameterKind.LINE_CAPACITY, 115.0000000001) is a
+    assert lookup([a, b], ParameterKind.LINE_CAPACITY, 112.0) is None
+    near = ReferenceEntry(kind=ParameterKind.LINE_CAPACITY, class_kv=116.0, family="normal")
+    with pytest.raises(ValueError, match="duplicate profile entry for LineCapacity at 116 kV"):
+        serialize_profile_json([a, near])
+
+
 @pytest.mark.parametrize("median", [0.0, -0.13])
 def test_non_positive_reference_median_rejected(median):
     entry = {"kind": "TransformerXr", "class_kv": 138.0, "summary": {"median": median}}
