@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -45,8 +46,6 @@ from .sampler import (
 from .stats import FixedCount, FreedmanDiaconis, histogram, histogram_csv
 
 __all__ = ["main", "run", "build_parser"]
-
-_KIND_ORDER = tuple(ParameterKind)
 
 
 def _seed_type(text: str) -> int:
@@ -134,12 +133,9 @@ def _read_input(path: str, inputs: dict) -> bytes:
 
 def _parse_classes(text: str) -> tuple[float, ...]:
     try:
-        kvs = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--classes expects comma-separated numbers, got {text!r}") from None
-    if not kvs:
-        raise ValueError("--classes must name at least one voltage class")
-    return kvs
 
 
 def _binning(text: str):
@@ -168,15 +164,6 @@ def _load_profile(spec: str, inputs: dict) -> list:
     return parse_profile_json(decode_utf8(_read_input(spec, inputs)))
 
 
-def _meta(inputs: dict, *, seed=None, thresholds=None) -> dict:
-    return {
-        "version": __version__,
-        "inputs": dict(sorted(inputs.items())),
-        "seed": seed,
-        "thresholds": None if thresholds is None else dataclasses.asdict(thresholds),
-    }
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -184,12 +171,21 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+def _report(payload: dict, inputs: dict, out: str | None, thresholds=None) -> None:
+    """Write a JSON report: payload under a meta block naming the version,
+    the input digests and any thresholds. No report is seeded."""
+    meta = {
+        "version": __version__,
+        "inputs": dict(sorted(inputs.items())),
+        "seed": None,
+        "thresholds": None if thresholds is None else dataclasses.asdict(thresholds),
+    }
+    _write_text(json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n", out)
 
 
-def _summary_dict(stats) -> dict:
-    return {**dataclasses.asdict(stats.summary), "band_fraction": stats.band_fraction}
+def _by_class(class_kvs, cell) -> dict:
+    """The {kV: {kind: cell(kind, kV)}} table of a report."""
+    return {f"{kv:g}": {kind.value: cell(kind, kv) for kind in ParameterKind} for kv in class_kvs}
 
 
 def _cmd_analyze(args) -> int:
@@ -199,73 +195,51 @@ def _cmd_analyze(args) -> int:
     observed = observed_stats(collected, profile, binning=_binning(args.bins))
     decorr = decorrelation_stats(collected)
 
-    classes_out = {}
+    def summary(kind, kv):
+        stats = observed.get((kind, kv))
+        if stats is None:
+            return "no data"
+        return {**dataclasses.asdict(stats.summary), "band_fraction": stats.band_fraction}
+
+    classes = _by_class(class_kvs, summary)
     for kv in class_kvs:
-        entry: dict = {}
-        for kind in _KIND_ORDER:
-            stats = observed.get((kind, kv))
-            entry[kind.value] = "no data" if stats is None else _summary_dict(stats)
-        d = decorr.get(kv)
+        entry, d = classes[f"{kv:g}"], decorr.get(kv)
         entry["decorrelation"] = "no data" if d is None else {
             k: v for k, v in dataclasses.asdict(d).items() if k != "class_kv"  # the section's key
         }
         entry["autotransformer_suspects"] = collected.suspect_counts.get(kv, 0)
-        classes_out[f"{kv:g}"] = entry
-
-    rejected_counts: dict = {}
-    for _, reason in collected.rejected:
-        rejected_counts[reason.value] = rejected_counts.get(reason.value, 0) + 1
-    payload = {
-        "meta": _meta(inputs),
-        "classes": classes_out,
-        "filter": {
-            "kept": collected.kept,
-            "rejected": rejected_counts,
-            "unclassified": collected.unclassified,
-        },
-    }
-    _emit_json(payload, args.out)
+    rejected = Counter(reason.value for _, reason in collected.rejected)
+    filter_out = {"kept": collected.kept, "rejected": rejected, "unclassified": collected.unclassified}
+    _report({"classes": classes, "filter": filter_out}, inputs, args.out)
     return 0
 
 
-def _fit_entry(fit, score) -> dict:
-    return {
-        **dataclasses.asdict(fit),
-        "family": family_tag(fit.dist),
-        "dist": dist_to_json(fit.dist),
-        **dataclasses.asdict(score),
-    }
+def _fit_cell(arr, binning):
+    """fit's cell for one sample: "no data", "unfittable: ...", or the
+    scored fits with the best family."""
+    if arr is None or arr.size == 0:
+        return "no data"
+    try:
+        scored = fit_and_score(arr, binning=binning)
+    except ValueError as exc:
+        return f"unfittable: {exc}"
+    if not scored:
+        return "unfittable: no family admits this sample"
+    best, _ = select_best(scored)
+    fits = [
+        {**dataclasses.asdict(f), "family": family_tag(f.dist), "dist": dist_to_json(f.dist),
+         **dataclasses.asdict(s)}
+        for f, s in scored
+    ]
+    return {"fits": fits, "best_family": family_tag(best.dist)}
 
 
 def _cmd_fit(args) -> int:
     inputs: dict = {}
     class_kvs, collected = _collect(args, inputs)
     binning = _binning(args.bins)
-
-    fits_out: dict = {}
-    for kv in class_kvs:
-        per_class: dict = {}
-        for kind in _KIND_ORDER:
-            arr = collected.values.get((kind, kv))
-            if arr is None or arr.size == 0:
-                per_class[kind.value] = "no data"
-                continue
-            try:
-                scored = fit_and_score(arr, binning=binning)
-            except ValueError as exc:
-                per_class[kind.value] = f"unfittable: {exc}"
-                continue
-            if not scored:
-                per_class[kind.value] = "unfittable: no family admits this sample"
-                continue
-            best, _ = select_best(scored)
-            per_class[kind.value] = {
-                "fits": [_fit_entry(f, s) for f, s in scored],
-                "best_family": family_tag(best.dist),
-            }
-        fits_out[f"{kv:g}"] = per_class
-
-    _emit_json({"meta": _meta(inputs), "fits": fits_out}, args.out)
+    fits = _by_class(class_kvs, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), binning))
+    _report({"fits": fits}, inputs, args.out)
     return 0
 
 
@@ -282,14 +256,12 @@ def _cmd_validate(args) -> int:
     decorr = spearman_own_by_class(decorrelation_stats(collected))
 
     report = validate(observed, profile, thresholds, transformer_decorrelation=decorr)
-    payload = {"meta": _meta(inputs, thresholds=thresholds), **report_to_dict(report)}
-    _emit_json(payload, args.out)
+    _report(report_to_dict(report), inputs, args.out, thresholds)
     return 0 if report.overall_pass else 2
 
 
 def _cmd_generate(args) -> int:
-    inputs: dict = {}
-    profile = _load_profile(args.profile, inputs)
+    profile = _load_profile(args.profile, {})
     if args.kind == "transformer":
         items = generate_transformers(
             args.class_kv, args.n, args.seed, profile, args.base, nu=args.nu
@@ -305,8 +277,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    inputs: dict = {}
-    _, collected = _collect(args, inputs)
+    _, collected = _collect(args, {})
     binning = _binning(args.bins)
 
     out_dir = Path(args.out)

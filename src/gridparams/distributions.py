@@ -156,6 +156,13 @@ def _join(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _gev_support(d: Gev, arr):
+    """(s, inside) for s = 1 + zeta*(x - mu)/sigma and inside = s > 0; s is 1.0 outside."""
+    s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
+    inside = s > 0
+    return np.where(inside, s, 1.0), inside
+
+
 def log_pdf(d: DistSpec, x):
     """Natural log of the density; -inf outside the support."""
     arr, scalar = _split(x)
@@ -171,9 +178,7 @@ def log_pdf(d: DistSpec, x):
             - ((d.nu + 1.0) / 2.0) * np.log1p(z * z / d.nu)
         )
     elif isinstance(d, Gev):
-        s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
-        inside = s > 0
-        s_safe = np.where(inside, s, 1.0)
+        s_safe, inside = _gev_support(d, arr)
         logs = np.log(s_safe)
         out = np.where(
             inside,
@@ -196,9 +201,7 @@ def pdf(d: DistSpec, x):
     if isinstance(d, Gev):
         # Computed directly rather than exp(log_pdf) so in-support underflow
         # and out-of-support zeros stay distinguishable and exact.
-        s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
-        inside = s > 0
-        s_safe = np.where(inside, s, 1.0)
+        s_safe, inside = _gev_support(d, arr)
         t = s_safe ** (-1.0 / d.zeta)
         out = np.where(inside, (t / s_safe) * np.exp(-t) / d.sigma, 0.0)
     elif isinstance(d, Exponential):
@@ -232,9 +235,7 @@ def cdf(d: DistSpec, x):
                 tail = np.exp(_tls_log_tail_coefficient(d.nu) - d.nu * np.log(np.abs(z)))
                 out = np.where(far, np.where(z < 0, tail, 1.0 - tail), out)
     elif isinstance(d, Gev):
-        s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
-        inside = s > 0
-        s_safe = np.where(inside, s, 1.0)
+        s_safe, inside = _gev_support(d, arr)
         out = np.where(
             inside,
             np.exp(-(s_safe ** (-1.0 / d.zeta))),

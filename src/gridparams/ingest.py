@@ -33,6 +33,7 @@ __all__ = [
     "CSV_HEADER",
     "DEFAULT_RATING_BOUNDS",
     "DEFAULT_CLASS_KVS",
+    "KV_TOLERANCE_FRAC",
     "decode_utf8",
     "parse_branch_csv",
     "serialize_branch_csv",
@@ -62,6 +63,11 @@ DEFAULT_RATING_BOUNDS = (1.0, 3000.0)
 
 #: Voltage classes with published reference statistics.
 DEFAULT_CLASS_KVS = (115.0, 138.0, 230.0)
+
+#: Relative kV tolerance: a voltage within 2 percent of a class's nominal kV
+#: is in that class, and terminal voltages within 2 percent of the higher one
+#: are one voltage level.
+KV_TOLERANCE_FRAC = 0.02
 
 
 class ParseError(ValueError):
@@ -117,7 +123,7 @@ class VoltageClass:
     """Nominal kV with a relative matching tolerance."""
 
     nominal_kv: float
-    tolerance_frac: float = 0.02
+    tolerance_frac: float = KV_TOLERANCE_FRAC
 
     def __post_init__(self):
         if not (math.isfinite(self.nominal_kv) and self.nominal_kv > 0):
@@ -476,17 +482,12 @@ def filter_valid(records, rating_bounds: tuple[float, float] = DEFAULT_RATING_BO
     return FilterOutcome(kept=table.take(codes == 0), rejected=list(zip(table.take(rows), reasons)))
 
 
-def classify_branch(
-    record: BranchRecord,
-    autotransformer_xr_threshold: float = 4.0,
-    *,
-    kv_tolerance_frac: float = 0.02,
-) -> BranchKind:
+def classify_branch(record: BranchRecord, autotransformer_xr_threshold: float = 4.0) -> BranchKind:
     """Transformer when the tap is set or terminal voltages differ beyond
-    tolerance; a transformer with X/R below the threshold is flagged as a
-    likely autotransformer. Requires a filtered record (r_pu > 0)."""
+    KV_TOLERANCE_FRAC; a transformer with X/R below the threshold is flagged
+    as a likely autotransformer. Requires a filtered record (r_pu > 0)."""
     hi_kv = max(record.from_kv, record.to_kv)
-    kv_differ = abs(record.from_kv - record.to_kv) > kv_tolerance_frac * hi_kv
+    kv_differ = abs(record.from_kv - record.to_kv) > KV_TOLERANCE_FRAC * hi_kv
     if record.tap_ratio == 0 and not kv_differ:
         return BranchKind.TRANSMISSION_LINE
     if record.x_pu / record.r_pu < autotransformer_xr_threshold:
@@ -497,18 +498,20 @@ def classify_branch(
 def _transformer_masks(
     table: BranchTable, autotransformer_xr_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """classify_branch, at its default kV tolerance, over a filtered table:
+    """classify_branch over a filtered table:
     boolean masks of the rows that are transformers (suspects included)
     and of the suspects."""
     hi_kv = np.maximum(table.from_kv, table.to_kv)
-    kv_differ = np.abs(table.from_kv - table.to_kv) > 0.02 * hi_kv
+    kv_differ = np.abs(table.from_kv - table.to_kv) > KV_TOLERANCE_FRAC * hi_kv
     transformer = (table.tap_ratio != 0) | kv_differ
     with np.errstate(over="ignore"):
         low_xr = table.x_pu / table.r_pu < autotransformer_xr_threshold
     return transformer, transformer & low_xr
 
 
-def voltage_class_table(nominal_kvs, tolerance_frac: float = 0.02) -> list[VoltageClass]:
+def voltage_class_table(
+    nominal_kvs, tolerance_frac: float = KV_TOLERANCE_FRAC
+) -> list[VoltageClass]:
     """Build a class table, rejecting overlapping tolerance intervals."""
     classes = sorted(
         (VoltageClass(float(kv), tolerance_frac) for kv in nominal_kvs),

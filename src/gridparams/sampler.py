@@ -170,11 +170,10 @@ def calibrate_reactance_tls(
     nu: float = DEFAULT_TLS_NU,
     *,
     truncate_to: tuple[float, float] | None = None,
-    tol: float = _CALIBRATION_TOL,
 ) -> CalibratedTls:
     """Solve for the t location-scale distribution with location at the
     target's median whose mass on the target band equals the band
-    fraction within tol.
+    fraction within _CALIBRATION_TOL.
 
     With truncate_to=(lo, hi), the calibrated quantity is the band mass
     conditional on landing inside the truncation interval, matching what
@@ -242,14 +241,15 @@ def calibrate_reactance_tls(
     for _ in range(500):
         sigma = 0.5 * (sigma_lo + sigma_hi)
         m = mass(sigma)
-        if abs(m - band.fraction) <= tol:
+        if abs(m - band.fraction) <= _CALIBRATION_TOL:
             return CalibratedTls(dist=Tls(mu=mu, sigma=sigma, nu=nu), residual=abs(m - band.fraction))
         if m > band.fraction:
             sigma_lo = sigma
         else:
             sigma_hi = sigma
     raise ArithmeticError(
-        f"calibration did not reach tolerance {tol}; last residual {abs(m - band.fraction)}"
+        f"calibration did not reach tolerance {_CALIBRATION_TOL}; "
+        f"last residual {abs(m - band.fraction)}"
     )
 
 
@@ -281,10 +281,12 @@ def _sample_truncated(
     n: int,
     lo: float,
     hi: float,
+    entry: ReferenceEntry,
     *,
     closed_lo: bool,
-    entry_desc: str,
 ) -> np.ndarray:
+    """n draws of d from rng, redrawn until each lies in [lo, hi] when
+    closed_lo, else in (lo, hi]; entry names the profile entry on failure."""
     out = sample_stream(d, rng, n)
     for _ in range(MAX_REJECTION_ROUNDS):
         below = out < lo if closed_lo else out <= lo
@@ -294,7 +296,8 @@ def _sample_truncated(
             return out
         out[bad] = sample_stream(d, rng, k)
     raise RuntimeError(
-        f"rejection sampling for {entry_desc} exceeded {MAX_REJECTION_ROUNDS} rounds; "
+        f"rejection sampling for {entry.kind.value} at {entry.class_kv:g} kV exceeded "
+        f"{MAX_REJECTION_ROUNDS} rounds; "
         "the profile distribution and its truncation interval are inconsistent"
     )
 
@@ -341,18 +344,9 @@ def generate_transformers(
     calibrated = calibrate_reactance_tls(x_entry, nu, truncate_to=(0.0, x_max))
 
     rng_mva, rng_x, rng_xr = _spawn_streams(seed, 3)
-    mva = _sample_truncated(
-        mva_dist, rng_mva, n, mva_lo, mva_hi, closed_lo=True,
-        entry_desc=f"{mva_entry.kind.value} at {class_kv:g} kV",
-    )
-    x_own = _sample_truncated(
-        calibrated.dist, rng_x, n, 0.0, x_max, closed_lo=False,
-        entry_desc=f"{x_entry.kind.value} at {class_kv:g} kV",
-    )
-    xr_draw = _sample_truncated(
-        xr_dist, rng_xr, n, 0.0, xr_max, closed_lo=False,
-        entry_desc=f"{xr_entry.kind.value} at {class_kv:g} kV",
-    )
+    mva = _sample_truncated(mva_dist, rng_mva, n, mva_lo, mva_hi, mva_entry, closed_lo=True)
+    x_own = _sample_truncated(calibrated.dist, rng_x, n, 0.0, x_max, x_entry, closed_lo=False)
+    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, xr_max, xr_entry, closed_lo=False)
 
     r_own = x_own / xr_draw
     return SyntheticTable(
@@ -383,14 +377,8 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTabl
     rng_x, rng_cap, rng_xr = _spawn_streams(seed, 3)
     # Inverse-transform exponential draws are already strictly positive.
     x = sample_stream(x_dist, rng_x, n)
-    cap = _sample_truncated(
-        cap_dist, rng_cap, n, 0.0, math.inf, closed_lo=False,
-        entry_desc=f"{cap_entry.kind.value} at {class_kv:g} kV",
-    )
-    xr_draw = _sample_truncated(
-        xr_dist, rng_xr, n, 0.0, math.inf, closed_lo=False,
-        entry_desc=f"{xr_entry.kind.value} at {class_kv:g} kV",
-    )
+    cap = _sample_truncated(cap_dist, rng_cap, n, 0.0, math.inf, cap_entry, closed_lo=False)
+    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, math.inf, xr_entry, closed_lo=False)
 
     r = x / xr_draw
     return SyntheticTable(
@@ -418,15 +406,18 @@ def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13
     """Wrap generated parameters as branch records on fresh buses, so a
     generated population can round-trip through the analysis pipeline.
 
-    Transformers get a high/low voltage pair (tap 1.0); lines connect two
-    buses at the class voltage (tap 0). Impedances are common-base, as
-    branch records require. Row i (from 1) gets buses 2i - 1 and 2i and the
-    id "T<class>-i" or "L<class>-i".
+    Transformers get a high/low voltage pair (tap 1.0) with the low side at
+    lv_kv, which must lie in (0, class_kv); lines connect two buses at the
+    class voltage (tap 0). Impedances are common-base, as branch records
+    require. Row i (from 1) gets buses 2i - 1 and 2i and the id "T<class>-i"
+    or "L<class>-i".
     """
     if not system_mva_base > 0:
         raise ValueError(f"system_mva_base must be > 0, got {system_mva_base}")
     table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
     xfmr = table.kind != _LINE
+    if lv_kv <= 0 and xfmr.any():
+        raise ValueError(f"lv_kv must be > 0, got {lv_kv}")
     low = np.flatnonzero(xfmr & ~(lv_kv < table.class_kv))
     if low.size:
         raise ValueError(f"lv_kv {lv_kv} must be below class_kv {table.class_kv[low[0]]}")

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridparams.cli import run
-from gridparams.profiles import ValidationThresholds, builtin_profile, serialize_profile_json
+from gridparams.distributions import Normal
+from gridparams.ingest import CSV_HEADER, RejectReason
+from gridparams.profiles import ParameterKind, ValidationThresholds, builtin_profile, serialize_profile_json
 
 CASE3 = """\
 function mpc = case3
@@ -440,3 +442,135 @@ def test_any_profile_or_thresholds_json_exits_0_1_or_2_without_a_traceback(profi
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+# ------------------------------------------------------------ report cells
+
+
+def _json_report(tmp_path, argv):
+    out = tmp_path / "report.json"
+    code = run([*argv, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_fit_reports_unfittable_and_no_data_cells(tmp_path):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    code, payload = _json_report(tmp_path, ["fit", "--case", str(case), "--classes", "115,138"])
+    assert code == 0
+    # case3 has one transformer at 115 kV: a constant sample no family fits.
+    cell = payload["fits"]["115"]["TransformerMvaRating"]
+    assert cell.startswith("unfittable: ") and "all values identical" in cell
+    assert payload["fits"]["138"] == {kind.value: "no data" for kind in ParameterKind}
+
+
+def test_analyze_counts_rejections_by_reason_name(tmp_path):
+    branches = tmp_path / "planted.csv"
+    branches.write_text(
+        ",".join(CSV_HEADER) + "\n"
+        "ok,1,2,115,13.8,0.002,0.04,60,1.0,100\n"
+        "r0,1,2,115,13.8,0,0.04,60,1.0,100\n"
+        "r1,1,2,115,13.8,-0.001,0.04,60,1.0,100\n"
+        "x,1,2,115,13.8,0.002,-0.01,60,1.0,100\n"
+        "zero,1,2,115,13.8,0.002,0.04,0,1.0,100\n"
+        "big,1,2,115,13.8,0.002,0.04,5000,1.0,100\n"
+        "nan,1,2,115,13.8,0.002,0.04,60,nan,100\n"
+    )
+    code, payload = _json_report(tmp_path, ["analyze", "--branches", str(branches)])
+    assert code == 0
+    assert payload["filter"] == {
+        "kept": 1,
+        "rejected": {"NonPositiveR": 2, "NonPositiveX": 1, "ZeroRating": 1, "ExtremeRating": 1, "NonFinite": 1},
+        "unclassified": 0,
+    }
+    assert set(payload["filter"]["rejected"]) == {reason.value for reason in RejectReason}
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit", "validate"])
+def test_every_json_report_carries_the_same_meta_block(tmp_path, command):
+    import hashlib
+
+    from gridparams import __version__
+
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    code, payload = _json_report(tmp_path, [command, "--case", str(case)])
+    assert code in ((0, 2) if command == "validate" else (0,))
+    digest = hashlib.sha256(case.read_bytes()).hexdigest()
+    thresholds = dataclasses.asdict(ValidationThresholds()) if command == "validate" else None
+    assert payload["meta"] == {
+        "version": __version__,
+        "inputs": {str(case): digest},
+        "seed": None,
+        "thresholds": thresholds,
+    }
+
+
+@pytest.mark.parametrize("lv_kv", ["-inf", "0", "-5"])
+def test_generate_branches_rejects_a_non_positive_low_side(lv_kv):
+    argv = ["generate", "--class", "115", "--n", "5", "--seed", "1", "--emit", "branches", f"--lv-kv={lv_kv}"]
+    code, err = _run_quietly(argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "lv_kv" in err, err
+
+
+# ------------------------------------------------------------ argv property
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """case3, a small three-class fleet and a profile with fitted line
+    parameters, shared by the argv property."""
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "case3.m").write_text(CASE3)
+    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
+    profile = [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]
+    (tmp / "lines.json").write_text(serialize_profile_json(profile))
+    inputs = {"--case": str(tmp / "case3.m"), "--branches": str(_generate_branches(tmp, n=20))}
+    return inputs, tmp
+
+
+def _bin_count_at_most_10k(text: str) -> bool:
+    try:
+        return int(text) <= 10**4
+    except ValueError:
+        return True
+
+
+_numbers = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers(-10**6, 10**6).map(str)
+_any_value = st.text(max_size=12) | _numbers
+_classes = _any_value | st.lists(_numbers, min_size=1, max_size=4).map(",".join)
+_bins = st.sampled_from(["fd", "2", "7", "10000"]) | _any_value.filter(_bin_count_at_most_10k)
+_positive = st.sampled_from(["100", "4.5", "13.8"]) | _any_value
+
+
+@st.composite
+def _argvs(draw, inputs: dict, out_dir: Path):
+    command = draw(st.sampled_from(["analyze", "fit", "validate", "hist", "generate"]))
+    optional = []
+    if command == "generate":
+        argv = [command, f"--class={draw(st.sampled_from(['115', '138', '230']) | _numbers)}",
+                f"--n={draw(st.integers(-1, 50))}", f"--seed={draw(st.integers(-1, 2**64))}"]
+        optional = [f"--kind={draw(st.sampled_from(['transformer', 'line']))}",
+                    f"--emit={draw(st.sampled_from(['params', 'branches']))}",
+                    f"--base={draw(_positive)}", f"--nu={draw(_positive)}", f"--lv-kv={draw(_positive)}",
+                    f"--profile={out_dir / 'lines.json'}"]
+    else:
+        flag = draw(st.sampled_from(sorted(inputs)))
+        argv = [command, flag, inputs[flag]]
+        optional = [f"--classes={draw(_classes)}", f"--bins={draw(_bins)}"]
+        if command == "hist":
+            argv.append(f"--out={out_dir / 'hist'}")
+    return argv + [opt for opt in optional if draw(st.booleans())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_with_one_error_line(argv_inputs, data):
+    inputs, tmp = argv_inputs
+    argv = data.draw(_argvs(inputs, tmp))
+    code, err = _run_quietly(argv)
+    assert code in ((0, 1, 2) if argv[0] == "validate" else (0, 1))
+    assert "Traceback" not in err
+    if code == 1:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
