@@ -50,6 +50,10 @@ __all__ = [
 #: can return exactly 0.0, which most quantile functions reject.
 _U_MIN = 2.0 ** -53
 
+#: t shape above which the log-density's constant and its derivative in nu
+#: come from series in 1/nu, exact where gammaln and digamma terms cancel.
+_NU_SERIES = 100.0
+
 #: Smallest normal float: betaincinv loses precision on subnormal numbers.
 _TINY = float(np.finfo(float).tiny)
 
@@ -163,17 +167,25 @@ def _gev_support(d: Gev, arr):
     return np.where(inside, s, 1.0), inside
 
 
+def _tls_log_norm(nu: float) -> float:
+    """log of the standard t density at 0, gammaln((nu+1)/2) - gammaln(nu/2) - log(nu*pi)/2:
+    -betaln(nu/2, 1/2) - log(nu)/2 up to _NU_SERIES, and its series in 1/nu above."""
+    if nu > _NU_SERIES:
+        r = 1.0 / (nu * nu)
+        series = 0.25 - r * (1.0 / 24.0 - r * (0.05 - r * 17.0 / 112.0))
+        return -0.5 * math.log(2.0 * math.pi) - series / nu
+    from scipy.special import betaln
+
+    return -float(betaln(nu / 2.0, 0.5)) - 0.5 * math.log(nu)
+
+
 def log_pdf(d: DistSpec, x):
     """Natural log of the density; -inf outside the support."""
     arr, scalar = _split(x)
     if isinstance(d, Tls):
-        from scipy.special import gammaln
-
         z = (arr - d.mu) / d.sigma
         out = (
-            gammaln((d.nu + 1.0) / 2.0)
-            - gammaln(d.nu / 2.0)
-            - 0.5 * math.log(d.nu * math.pi)
+            _tls_log_norm(d.nu)
             - math.log(d.sigma)
             - ((d.nu + 1.0) / 2.0) * np.log1p(z * z / d.nu)
         )

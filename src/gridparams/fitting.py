@@ -2,14 +2,17 @@
 histogram-based KL divergence scoring for ranking them.
 
 Exponential and normal fits are closed-form. The location-scale t and
-GEV families are fit by Nelder-Mead on transformed parameters (log
-scale for sigma and nu) so every search point is a valid distribution;
-points whose support excludes part of the sample get a large finite
-penalty instead of an infinite objective.
+GEV families are fit by BFGS on the closed-form score of the likelihood
+(Liu & Rubin 1995; Coles 2001, section 3.3), on transformed parameters
+(log scale for sigma and nu) so every search point is a valid
+distribution; points whose support excludes part of the sample get a
+large finite penalty instead of an infinite objective. Where BFGS ends
+short of a stationary point, Nelder-Mead refits from the same start.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,6 +29,7 @@ from .distributions import (
     family_tag,
     log_pdf,
     n_params,
+    _NU_SERIES,
 )
 from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
 
@@ -46,7 +50,9 @@ _Q_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Nelder-Mead budget; ignored by closed-form families."""
+    """Optimizer budget for the t and GEV fits; ignored by closed-form
+    families. maxiter bounds both BFGS and the Nelder-Mead fallback; the
+    other three fields are Nelder-Mead's alone."""
 
     maxiter: int = 2000
     maxfev: int = 8000
@@ -127,22 +133,81 @@ def _scale_guess(x: np.ndarray) -> float:
     raise ValueError("cannot fit a scale family to a constant sample")
 
 
-def _run_nelder_mead(objective, theta0, options: FitOptions):
+def _fit_scored(x, make, score, start, sigma0, options: FitOptions) -> FitResult:
+    """Maximum likelihood of make(mu, log sigma, shape), from start.
+
+    BFGS runs on theta = ((mu - start[0]) / sigma0, log sigma, shape) with
+    the score as its gradient, and has converged when it ends with status
+    0, or with status 2 (precision loss) at a score of at most 1e-6 per
+    value. Otherwise Nelder-Mead runs from start on (mu, log sigma, shape).
+    """
     # Imported here: scipy.optimize costs about a quarter second of import
     # time, and only the t and GEV fits use it.
     from scipy.optimize import minimize
 
-    return minimize(
-        objective,
-        np.asarray(theta0, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "maxiter": options.maxiter,
-            "maxfev": options.maxfev,
-            "fatol": options.fatol,
-            "xatol": options.xatol,
-        },
-    )
+    def nll_and_gradient(theta):
+        try:
+            d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
+        except (OverflowError, ValueError):  # sigma or nu beyond float range
+            return _PENALTY, np.zeros(3)
+        with np.errstate(all="ignore"):
+            nll = _nll(d, x)
+            return nll, np.zeros(3) if nll == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
+
+    # gtol scales with n: where the likelihood keeps rising toward nu = inf,
+    # the log-likelihood left to gain is about the size of the score.
+    res = minimize(nll_and_gradient, [0.0, *start[1:]], jac=True, method="BFGS",
+                   options={"maxiter": options.maxiter, "gtol": 1e-8 * x.size})
+    if res.status == 0 or (res.status == 2 and np.max(np.abs(res.jac)) <= 1e-6 * x.size):
+        d = make(start[0] + sigma0 * res.x[0], res.x[1], res.x[2])
+        ll = _loglik(d, x)
+        if math.isfinite(ll):
+            return FitResult(d, ll, x.size, converged=True, iterations=int(res.nit))
+
+    res = minimize(lambda theta: _nll(make(*theta), x), np.asarray(start, dtype=float),
+                   method="Nelder-Mead", options=dataclasses.asdict(options))
+    d = make(*res.x)
+    ll = _loglik(d, x)
+    converged = bool(res.success)
+    message = "" if converged else str(res.message)
+    if not math.isfinite(ll):
+        converged = False
+        message = "fitted parameters exclude part of the sample from the support"
+    return FitResult(d, ll, x.size, converged=converged, iterations=int(res.nit), message=message)
+
+
+def _tls_score(d: Tls, x: np.ndarray) -> np.ndarray:
+    """Gradient of the t log-likelihood in (mu, log sigma, log nu); the constant's
+    part, nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu), is a series above _NU_SERIES."""
+    if d.nu > _NU_SERIES:
+        r = 1.0 / (d.nu * d.nu)
+        constant = (0.25 - r * (0.125 - r * (0.25 - r * 17.0 / 16.0))) / d.nu
+    else:
+        from scipy.special import digamma
+
+        constant = 0.5 * d.nu * float(digamma((d.nu + 1.0) / 2.0) - digamma(d.nu / 2.0)) - 0.5
+    z = (x - d.mu) / d.sigma
+    wz = (d.nu + 1.0) * z / (d.nu + z * z)
+    return np.array([
+        np.sum(wz) / d.sigma,
+        np.sum(wz * z) - x.size,
+        x.size * constant + 0.5 * np.sum(wz * z - d.nu * np.log1p(z * z / d.nu)),
+    ])
+
+
+def _gev_score(d: Gev, x: np.ndarray) -> np.ndarray:
+    """Gradient of the GEV log-likelihood in (mu, log sigma, zeta), for a
+    sample inside the support."""
+    z = (x - d.mu) / d.sigma
+    s = 1.0 + d.zeta * z
+    log_s = np.log1p(d.zeta * z)  # not log(s): zeta may be as small as _MIN_ZETA
+    t = np.exp(-log_s / d.zeta)
+    a = (1.0 + d.zeta - t) / s
+    return np.array([
+        np.sum(a) / d.sigma,
+        np.sum(a * z) - x.size,
+        np.sum((1.0 - t) * (log_s / d.zeta - z / s) / d.zeta - z / s),
+    ])
 
 
 def _fit_tls(x: np.ndarray, options: FitOptions) -> FitResult:
@@ -150,16 +215,11 @@ def _fit_tls(x: np.ndarray, options: FitOptions) -> FitResult:
         raise ValueError("t fit needs at least 3 values")
     sigma0 = _scale_guess(x)
 
-    def unpack(theta) -> Tls:
-        mu, s, t = theta
+    def make(mu, s, t) -> Tls:
         return Tls(mu=float(mu), sigma=math.exp(s), nu=math.exp(t))
 
-    res = _run_nelder_mead(
-        lambda theta: _nll(unpack(theta), x),
-        [float(np.median(x)), math.log(sigma0), math.log(5.0)],
-        options,
-    )
-    return _finish_nm(unpack(res.x), x, res)
+    start = [float(np.median(x)), math.log(sigma0), math.log(5.0)]
+    return _fit_scored(x, make, _tls_score, start, sigma0, options)
 
 
 def _fit_gev(x: np.ndarray, options: FitOptions) -> FitResult:
@@ -168,29 +228,13 @@ def _fit_gev(x: np.ndarray, options: FitOptions) -> FitResult:
     sigma0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
     if sigma0 <= 0:
         raise ValueError("cannot fit a scale family to a constant sample")
-    # Moment-style start at the Gumbel limit (Euler-Mascheroni shift).
-    mu0 = float(np.mean(x)) - 0.5772 * sigma0
 
-    def unpack(theta) -> Gev:
-        mu, s, zeta = theta
+    def make(mu, s, zeta) -> Gev:
         return Gev(mu=float(mu), sigma=math.exp(s), zeta=_clamp_zeta(float(zeta)))
 
-    res = _run_nelder_mead(
-        lambda theta: _nll(unpack(theta), x),
-        [mu0, math.log(sigma0), 0.1],
-        options,
-    )
-    return _finish_nm(unpack(res.x), x, res)
-
-
-def _finish_nm(d: DistSpec, x: np.ndarray, res) -> FitResult:
-    ll = _loglik(d, x)
-    converged = bool(res.success)
-    message = "" if converged else str(res.message)
-    if not math.isfinite(ll):
-        converged = False
-        message = "fitted parameters exclude part of the sample from the support"
-    return FitResult(d, ll, x.size, converged=converged, iterations=int(res.nit), message=message)
+    # Moment-style start at the Gumbel limit (Euler-Mascheroni shift).
+    start = [float(np.mean(x)) - 0.5772 * sigma0, math.log(sigma0), 0.1]
+    return _fit_scored(x, make, _gev_score, start, sigma0, options)
 
 
 def fit_mle(family: str, values, options: FitOptions = FitOptions()) -> FitResult:
@@ -221,7 +265,8 @@ def kl_divergence(hist: Histogram, d: DistSpec) -> KlScore:
     """
     counts = np.asarray(hist.counts, dtype=float)
     p = counts / counts.sum()
-    q = np.maximum(np.diff(cdf(d, np.asarray(hist.edges, dtype=float))), _Q_FLOOR)
+    with np.errstate(over="ignore"):  # (edge - mu) / sigma may overflow; cdf takes its limit
+        q = np.maximum(np.diff(cdf(d, np.asarray(hist.edges, dtype=float))), _Q_FLOOR)
     mask = p > 0
     d_kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     if d_kl < -1e-12:

@@ -142,10 +142,10 @@ def test_analyze_malformed_csv(tmp_path, capsys):
     assert "line 2" in err and "x_pu" in err
 
 
-def _gridparams(*argv, cwd=None):
+def _gridparams(*argv, cwd=None, env=None):
     """The CLI in a fresh interpreter, so that its stderr is what a user sees."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
     )
@@ -512,6 +512,26 @@ def test_generate_branches_rejects_a_non_positive_low_side(lv_kv):
     code, err = _run_quietly(argv)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and "lv_kv" in err, err
+
+
+def test_generate_accepts_a_huge_nu():
+    code, err = _run_quietly(["generate", "--class", "115", "--n", "5", "--seed", "1", "--nu", "1e308"])
+    assert (code, err) == (0, "")
+
+
+def test_fit_and_validate_reports_are_identical_across_fresh_interpreters(tmp_path):
+    # Two interpreters with different hash seeds: no report may depend on
+    # set or dict order, or on anything else that differs between processes.
+    fleet = _generate_branches(tmp_path, n=300)
+    for command in ("fit", "validate"):
+        reports = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"{command}-{hash_seed}.json"
+            proc = _gridparams("-m", "gridparams", command, "--branches", str(fleet), "--out", str(out),
+                               env={"PYTHONHASHSEED": hash_seed})
+            assert proc.returncode in (0, 2) and proc.stderr == "", proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], command
 
 
 # ------------------------------------------------------------ argv property

@@ -204,6 +204,31 @@ def test_tls_quantile_far_below_the_sampler_range(nu):
     assert abs(cdf(d, q) - 1e-300) <= 2e-15 * 1e-300
 
 
+# log_pdf(Tls(0, 1, nu), 0.5) to 20 digits, from 700-digit arithmetic.
+_TLS_LOG_PDF_AT_HALF = {
+    3.0: -1.1609742649705825621,
+    100.0: -1.0475309415716581066,
+    1e3: -1.0442978951442882866,
+    1e5: -1.0439421269533706189,
+    1e7: -1.0439385691421726116,
+    1e15: -1.0439385332046731012,
+    1e308: -1.0439385332046727418,
+}
+
+
+@pytest.mark.parametrize("nu", sorted(_TLS_LOG_PDF_AT_HALF))
+def test_tls_log_pdf_is_exact_at_large_nu(nu):
+    # gammaln((nu+1)/2) - gammaln(nu/2) cancels: 4e-11 off at nu = 1e5, NaN at 1e308.
+    assert log_pdf(Tls(0.0, 1.0, nu), 0.5) == pytest.approx(_TLS_LOG_PDF_AT_HALF[nu], rel=1e-15)
+
+
+@pytest.mark.parametrize("nu", [1e15, 1e20, 1e100, 1e300, 1e308])
+def test_tls_quantile_at_huge_nu_is_the_normal_quantile(nu):
+    # Here the t and normal quantiles agree to double precision; the Newton
+    # step after stdtrit divides by the pdf, so it needs the pdf right.
+    assert quantile(Tls(0.1, 0.05, nu), 0.3) == pytest.approx(0.07377997436459796, rel=1e-15)
+
+
 _TINY = float(np.finfo(float).tiny)
 
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridparams.distributions import Exponential, Gev, Normal, Tls, sample
+from gridparams import fitting
+from gridparams.distributions import Exponential, Gev, Normal, Tls, quantile, sample
 from gridparams.fitting import (
     FitOptions,
     FitResult,
@@ -95,6 +98,83 @@ def test_iteration_budget_flags_nonconvergence():
     assert isinstance(res, FitResult)
     assert not res.converged
     assert res.message != ""
+
+
+# ------------------------------------------------------------------ scores
+
+
+def _central_differences(loglik, theta, steps):
+    grad = []
+    for i, h in enumerate(steps):
+        up, down = list(theta), list(theta)
+        up[i] += h
+        down[i] -= h
+        grad.append((loglik(up) - loglik(down)) / (2 * h))
+    return np.array(grad)
+
+
+def _assert_score(score, numeric, n):
+    # Rounding in the n-term log-likelihood and O(h**2) truncation both stay
+    # far below 1e-6 per value; a cancelled digamma term at nu = 1e15 is off
+    # by about 3 per value.
+    assert np.all(np.abs(score - numeric) <= 1e-6 * (n + np.abs(numeric))), (score, numeric)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 300),
+    log10_nu=st.floats(-0.5, 17.0),
+    shift=st.floats(-2.0, 2.0),
+    log_scale=st.floats(-1.0, 1.0),
+)
+@example(seed=1, n=50, log10_nu=15.0, shift=0.0, log_scale=0.0)
+@example(seed=1, n=50, log10_nu=16.0, shift=0.0, log_scale=0.0)
+def test_tls_score_matches_central_differences(seed, n, log10_nu, shift, log_scale):
+    # The sample comes from one t, the score is taken at another: (mu, log sigma,
+    # log nu), with mu measured in units of sigma as the fit measures it.
+    x = sample(Tls(mu=1.0, sigma=0.2, nu=4.0), seed=seed, n=n)
+    sigma = 0.2 * math.exp(log_scale)
+    theta = [1.0 / sigma + shift, math.log(sigma), log10_nu * math.log(10.0)]
+
+    def loglik(t):
+        return fitting._loglik(Tls(sigma * t[0], math.exp(t[1]), math.exp(t[2])), x)
+
+    d = Tls(sigma * theta[0], sigma, math.exp(theta[2]))
+    score = fitting._tls_score(d, x) * [sigma, 1.0, 1.0]
+    _assert_score(score, _central_differences(loglik, theta, [1e-5, 1e-5, 1e-4]), n)
+
+
+_MIN_ZETA = fitting._MIN_ZETA
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 300),
+    zeta=st.floats(-0.6, 0.6).filter(lambda z: abs(z) > 1.5 * _MIN_ZETA)
+    | st.floats(1.5 * _MIN_ZETA, 1e-4).flatmap(lambda z: st.sampled_from([z, -z])),
+    shift=st.floats(-0.01, 0.01),
+    log_scale=st.floats(-0.01, 0.01),
+)
+@example(seed=1, n=50, zeta=1.5e-6, shift=0.003, log_scale=0.002)
+@example(seed=1, n=50, zeta=-1.5e-6, shift=0.003, log_scale=0.002)
+def test_gev_score_matches_central_differences(seed, n, zeta, shift, log_scale):
+    # Values between the 1 % and 99 % quantiles of Gev(10, 2, zeta); the score
+    # is taken close enough to it that every point the differences visit keeps
+    # them in its support.
+    x = quantile(Gev(10.0, 2.0, zeta), np.random.default_rng(seed).uniform(0.01, 0.99, n))
+    sigma = 2.0 * math.exp(log_scale)
+    theta = [10.0 / sigma + shift, math.log(sigma), zeta]
+    steps = [1e-5, 1e-5, min(1e-5, (abs(zeta) - _MIN_ZETA) / 2)]
+
+    def loglik(t):
+        # log_pdf takes log(1 + zeta*z), which loses digits as zeta nears 0.
+        log_s = np.log1p(t[2] * (x - sigma * t[0]) / math.exp(t[1]))
+        return float(np.sum(-t[1] - (1.0 + 1.0 / t[2]) * log_s - np.exp(-log_s / t[2])))
+
+    score = fitting._gev_score(Gev(sigma * theta[0], sigma, zeta), x) * [sigma, 1.0, 1.0]
+    _assert_score(score, _central_differences(loglik, theta, steps), n)
 
 
 # -------------------------------------------------------------- divergence

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridparams.distributions import Exponential, Gev, Normal, sample
 from gridparams.profiles import (
@@ -24,7 +26,7 @@ from gridparams.profiles import (
     thresholds_from_dict,
     validate,
 )
-from gridparams.stats import FreedmanDiaconis, SummaryStats, histogram, summarize
+from gridparams.stats import FreedmanDiaconis, SummaryStats, band_fraction, histogram, summarize
 
 
 def _summary(**kw):
@@ -372,3 +374,65 @@ def test_report_to_dict_shape():
     assert set(d) >= {"findings", "overall_pass", "thresholds"}
     for f in d["findings"]:
         assert f["status"] in {"pass", "fail", "skipped"}
+
+
+# ------------------------------------------------------- profile property
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_PARAMS = {
+    "tls": {"mu": _finite, "sigma": _positive, "nu": _positive},
+    "gev": {"mu": _finite, "sigma": _positive, "zeta": _finite.filter(bool)},
+    "exponential": {"mu": _positive},
+    "normal": {"mu": _finite, "sigma": _positive},
+}
+
+
+@st.composite
+def _profile_entries(draw):
+    """Profile entries as JSON objects, one per (kind, class), with every
+    optional part present or not and numbers anywhere in their valid range."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(list(ParameterKind)), st.sampled_from([69.0, 115.0, 138.0, 230.0])),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    entries = []
+    for kind, kv in keys:
+        obj = {"kind": kind.value, "class_kv": kv}
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
+            q10, q90 = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
+            obj["summary"] = {"median": draw(_positive), "mean": draw(_finite), "min": lo, "max": hi,
+                              "q10": q10, "q90": q90}
+        if draw(st.booleans()):
+            lo, hi = sorted(draw(st.lists(_finite, min_size=2, max_size=2, unique=True)))
+            obj["band"] = {"lo": lo, "hi": hi, "fraction": draw(st.floats(0.0, 1.0))}
+        family = EXPECTED_FAMILY[kind]
+        if draw(st.booleans()) or len(obj) == 2:
+            obj["fitted"] = {"family": family}
+            if draw(st.booleans()):
+                obj["fitted"]["params"] = {k: draw(v) for k, v in _PARAMS[family].items()}
+                if draw(st.booleans()):
+                    obj["reference_d_kl"] = draw(st.floats(0.0, 1e300))
+        entries.append(obj)
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=_profile_entries(),
+    samples=st.lists(st.lists(st.floats(1e-6, 1e6), max_size=40), min_size=6, max_size=6),
+    rho=st.floats(-1.0, 1.0),
+)
+def test_any_accepted_profile_validates_without_raising(entries, samples, rho):
+    profile = parse_profile_json(json.dumps(entries))  # every drawn entry is well formed
+    observed = {}
+    for e, values in zip(profile, samples):
+        if values:
+            band = None if e.band is None else band_fraction(np.asarray(values), e.band.lo, e.band.hi)
+            observed[(e.kind, e.class_kv)] = _stats(values, band=band)
+    report = validate(observed, profile, transformer_decorrelation={e.class_kv: rho for e in profile})
+    assert report.overall_pass == all(f.status != "fail" for f in report.findings)
+    json.loads(serialize_report(report))
