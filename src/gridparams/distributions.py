@@ -161,10 +161,11 @@ def _join(arr, scalar):
 
 
 def _gev_support(d: Gev, arr):
-    """(s, inside) for s = 1 + zeta*(x - mu)/sigma and inside = s > 0; s is 1.0 outside."""
-    s = 1.0 + d.zeta * (arr - d.mu) / d.sigma
-    inside = s > 0
-    return np.where(inside, s, 1.0), inside
+    """(log_s, inside) for s = 1 + zeta*(x - mu)/sigma and inside = s > 0; log_s is
+    log1p(zeta*(x - mu)/sigma), exact as zeta nears 0, and 0.0 outside."""
+    zz = d.zeta * (arr - d.mu) / d.sigma
+    inside = zz > -1.0
+    return np.log1p(np.where(inside, zz, 0.0)), inside
 
 
 def _tls_log_norm(nu: float) -> float:
@@ -190,11 +191,10 @@ def log_pdf(d: DistSpec, x):
             - ((d.nu + 1.0) / 2.0) * np.log1p(z * z / d.nu)
         )
     elif isinstance(d, Gev):
-        s_safe, inside = _gev_support(d, arr)
-        logs = np.log(s_safe)
+        log_s, inside = _gev_support(d, arr)
         out = np.where(
             inside,
-            -math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * logs - np.exp(-logs / d.zeta),
+            -math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta),
             -np.inf,
         )
     elif isinstance(d, Exponential):
@@ -210,13 +210,7 @@ def log_pdf(d: DistSpec, x):
 def pdf(d: DistSpec, x):
     """Density at x. Exactly 0 outside the support (never an error)."""
     arr, scalar = _split(x)
-    if isinstance(d, Gev):
-        # Computed directly rather than exp(log_pdf) so in-support underflow
-        # and out-of-support zeros stay distinguishable and exact.
-        s_safe, inside = _gev_support(d, arr)
-        t = s_safe ** (-1.0 / d.zeta)
-        out = np.where(inside, (t / s_safe) * np.exp(-t) / d.sigma, 0.0)
-    elif isinstance(d, Exponential):
+    if isinstance(d, Exponential):
         z = np.where(arr >= 0, arr, 0.0)  # mask first: exp overflows on -x/mu
         out = np.where(arr >= 0, np.exp(-z / d.mu) / d.mu, 0.0)
     else:
@@ -247,12 +241,8 @@ def cdf(d: DistSpec, x):
                 tail = np.exp(_tls_log_tail_coefficient(d.nu) - d.nu * np.log(np.abs(z)))
                 out = np.where(far, np.where(z < 0, tail, 1.0 - tail), out)
     elif isinstance(d, Gev):
-        s_safe, inside = _gev_support(d, arr)
-        out = np.where(
-            inside,
-            np.exp(-(s_safe ** (-1.0 / d.zeta))),
-            0.0 if d.zeta > 0 else 1.0,
-        )
+        log_s, inside = _gev_support(d, arr)
+        out = np.where(inside, np.exp(-np.exp(-log_s / d.zeta)), 0.0 if d.zeta > 0 else 1.0)
     elif isinstance(d, Exponential):
         z = np.where(arr >= 0, arr, 0.0)
         out = np.where(arr >= 0, -np.expm1(-z / d.mu), 0.0)

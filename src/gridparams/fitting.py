@@ -2,12 +2,14 @@
 histogram-based KL divergence scoring for ranking them.
 
 Exponential and normal fits are closed-form. The location-scale t and
-GEV families are fit by BFGS on the closed-form score of the likelihood
-(Liu & Rubin 1995; Coles 2001, section 3.3), on transformed parameters
-(log scale for sigma and nu) so every search point is a valid
-distribution; points whose support excludes part of the sample get a
-large finite penalty instead of an infinite objective. Where BFGS ends
-short of a stationary point, Nelder-Mead refits from the same start.
+GEV families are fit by a small BFGS of this module's own on the
+closed-form score of the likelihood (Liu & Rubin 1995; Coles 2001,
+section 3.3), on transformed parameters (log scale for sigma and nu) so
+every search point is a valid distribution; points whose support
+excludes part of the sample get a large finite penalty instead of an
+infinite objective. Where BFGS ends short of a stationary point, scipy's
+Nelder-Mead refits from the same start; only then is scipy.optimize
+imported.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ _Q_FLOOR = 1e-12
 @dataclass(frozen=True)
 class FitOptions:
     """Optimizer budget for the t and GEV fits; ignored by closed-form
-    families. maxiter bounds both BFGS and the Nelder-Mead fallback; the
-    other three fields are Nelder-Mead's alone."""
+    families. maxiter bounds both the BFGS search and the Nelder-Mead
+    fallback; the other three fields are Nelder-Mead's alone."""
 
     maxiter: int = 2000
     maxfev: int = 8000
@@ -133,17 +135,46 @@ def _scale_guess(x: np.ndarray) -> float:
     raise ValueError("cannot fit a scale family to a constant sample")
 
 
+def _bfgs(f, theta, gtol: float, maxiter: int):
+    """Minimize f, which returns (value, gradient), from theta by BFGS with an
+    Armijo backtracking line search (Nocedal & Wright 2006, 6.1 and 3.1).
+
+    Stops at max |gradient| <= gtol, at a gradient that is not finite, after
+    maxiter iterations, or when the step underflows; returns (theta,
+    gradient, iterations).
+    """
+    fx, g = f(theta)
+    h = None  # inverse Hessian; None while the search runs steepest descent
+    for k in range(maxiter):
+        if not np.all(np.isfinite(g)) or np.max(np.abs(g)) <= gtol:
+            return theta, g, k
+        p = None if h is None else -h @ g
+        if p is None or not g @ p < 0:  # no descent direction: restart from steepest descent
+            h, p = None, -g / max(1.0, float(np.linalg.norm(g)))
+        step = 1.0
+        while not (trial := f(theta + step * p))[0] <= fx + 1e-4 * step * (g @ p):
+            step *= 0.5
+            if not np.any(np.abs(step * p) > np.spacing(np.abs(theta))):  # the step underflows
+                return theta, g, k
+        s, y = step * p, trial[1] - g
+        sy = s @ y
+        if sy > 0:
+            if h is None:
+                h = np.eye(theta.size) * (sy / (y @ y))
+            v = np.eye(theta.size) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+        theta, (fx, g) = theta + s, trial
+    return theta, g, maxiter
+
+
 def _fit_scored(x, make, score, start, sigma0, options: FitOptions) -> FitResult:
     """Maximum likelihood of make(mu, log sigma, shape), from start.
 
     BFGS runs on theta = ((mu - start[0]) / sigma0, log sigma, shape) with
-    the score as its gradient, and has converged when it ends with status
-    0, or with status 2 (precision loss) at a score of at most 1e-6 per
-    value. Otherwise Nelder-Mead runs from start on (mu, log sigma, shape).
+    the score as its gradient, and has converged when it ends at a score of
+    at most 1e-6 per value with a finite log-likelihood. Otherwise
+    Nelder-Mead runs from start on (mu, log sigma, shape).
     """
-    # Imported here: scipy.optimize costs about a quarter second of import
-    # time, and only the t and GEV fits use it.
-    from scipy.optimize import minimize
 
     def nll_and_gradient(theta):
         try:
@@ -156,13 +187,17 @@ def _fit_scored(x, make, score, start, sigma0, options: FitOptions) -> FitResult
 
     # gtol scales with n: where the likelihood keeps rising toward nu = inf,
     # the log-likelihood left to gain is about the size of the score.
-    res = minimize(nll_and_gradient, [0.0, *start[1:]], jac=True, method="BFGS",
-                   options={"maxiter": options.maxiter, "gtol": 1e-8 * x.size})
-    if res.status == 0 or (res.status == 2 and np.max(np.abs(res.jac)) <= 1e-6 * x.size):
-        d = make(start[0] + sigma0 * res.x[0], res.x[1], res.x[2])
+    theta, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
+                          options.maxiter)
+    if np.max(np.abs(g)) <= 1e-6 * x.size:
+        d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
         ll = _loglik(d, x)
         if math.isfinite(ll):
-            return FitResult(d, ll, x.size, converged=True, iterations=int(res.nit))
+            return FitResult(d, ll, x.size, converged=True, iterations=nit)
+
+    # Imported here: scipy.optimize costs about a quarter second of import
+    # time, and only a fit that BFGS could not finish uses it.
+    from scipy.optimize import minimize
 
     res = minimize(lambda theta: _nll(make(*theta), x), np.asarray(start, dtype=float),
                    method="Nelder-Mead", options=dataclasses.asdict(options))

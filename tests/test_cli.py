@@ -182,6 +182,47 @@ def test_analyze_and_hist_load_no_scipy(tmp_path):
     assert proc.stdout.strip().endswith("[0, 0, 0] []")
 
 
+def _as_matpower_case(fleet, path):
+    """The branch CSV as a MATPOWER case, two buses of its own per branch."""
+    rows = [line.split(",") for line in fleet.read_text().splitlines()[1:]]
+    bus = "\t{}\t1\t0\t0\t0\t0\t1\t1.0\t0\t{}\t1\t1.1\t0.9;\n"
+    buses = "".join(bus.format(2 * i + 1, r[3]) + bus.format(2 * i + 2, r[4]) for i, r in enumerate(rows))
+    branches = "".join(
+        f"\t{2 * i + 1}\t{2 * i + 2}\t{r[5]}\t{r[6]}\t0\t{r[7]}\t{r[7]}\t{r[7]}\t{r[8]}\t0\t1\t-30\t30;\n"
+        for i, r in enumerate(rows)
+    )
+    path.write_text(f"function mpc = fleet\nmpc.baseMVA = 100;\nmpc.bus = [\n{buses}];\n"
+                    f"mpc.branch = [\n{branches}];\n")
+    return path
+
+
+def test_fit_and_validate_load_no_scipy_optimize(tmp_path):
+    # The t and GEV fits run the package's own BFGS; scipy.optimize is imported
+    # only by the Nelder-Mead fallback, which none of these fits needs.
+    fleet = _generate_branches(tmp_path, n=150)
+    fleet_case = _as_matpower_case(fleet, tmp_path / "fleet.m")
+    case3 = tmp_path / "case3.m"
+    case3.write_text(CASE3)
+    argvs = []
+    for i, source in enumerate([["--branches", str(fleet)], ["--case", str(fleet_case)], ["--case", str(case3)]]):
+        argvs += [["fit", *source, "--out", str(tmp_path / f"fit{i}.json")],
+                  ["validate", *source, "--out", str(tmp_path / f"validate{i}.json")]]
+    proc = _gridparams(
+        "-c",
+        "import sys; from gridparams.cli import run; "
+        f"codes = [run(argv) for argv in {argvs!r}]; "
+        "print(codes, 'scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The three-branch case fails its checks (exit 2), but it still ran them.
+    assert proc.stdout.strip().endswith("[0, 0, 0, 0, 0, 2] True False")
+    for i in range(2):  # the fleet in both formats: t and GEV fits for 3 kinds in 3 classes
+        fits = json.loads((tmp_path / f"fit{i}.json").read_text())["fits"]
+        scored = [f for by_kind in fits.values() for cell in by_kind.values() if isinstance(cell, dict)
+                  for f in cell["fits"] if f["family"] in ("tls", "gev")]
+        assert len(scored) == 18 and all(f["converged"] for f in scored)
+
+
 def test_validate_zero_reference_median_is_an_input_error(tmp_path):
     case = tmp_path / "case3.m"
     case.write_text(CASE3)

@@ -222,6 +222,27 @@ def test_tls_log_pdf_is_exact_at_large_nu(nu):
     assert log_pdf(Tls(0.0, 1.0, nu), 0.5) == pytest.approx(_TLS_LOG_PDF_AT_HALF[nu], rel=1e-15)
 
 
+# (log_pdf, cdf) of Gev(0, 1, zeta) at x, to 20 digits, from 60-digit arithmetic.
+_GEV_NEAR_THE_ZETA_CLAMP = {
+    (1.5e-6, -2.0): (-5.3890722661660323517, 0.0006179652905907192296),
+    (1.5e-6, 0.5): (-1.1065313359368984193, 0.54523914988557772968),
+    (1.5e-6, 3.0): (-3.0497851544408264108, 0.95143167315957190593),
+    (-1.5e-6, -2.0): (-5.3890399318294382808, 0.00061799268827924044401),
+    (-1.5e-6, 0.5): (-1.1065299834879010268, 0.54523927389968981362),
+    (-1.5e-6, 3.0): (-3.0497889823154035222, 0.951432312641202556),
+}
+
+
+@pytest.mark.parametrize("zeta, x", sorted(_GEV_NEAR_THE_ZETA_CLAMP))
+def test_gev_is_exact_near_the_zeta_clamp(zeta, x):
+    # log(1 + zeta*x) of the rounded sum is 1e-16/|zeta| off: 1e-10 relative here.
+    d = Gev(0.0, 1.0, zeta)
+    expected_log_pdf, expected_cdf = _GEV_NEAR_THE_ZETA_CLAMP[(zeta, x)]
+    assert log_pdf(d, x) == pytest.approx(expected_log_pdf, rel=1e-14)
+    assert cdf(d, x) == pytest.approx(expected_cdf, rel=1e-14)
+    assert pdf(d, x) == pytest.approx(math.exp(expected_log_pdf), rel=1e-14)
+
+
 @pytest.mark.parametrize("nu", [1e15, 1e20, 1e100, 1e300, 1e308])
 def test_tls_quantile_at_huge_nu_is_the_normal_quantile(nu):
     # Here the t and normal quantiles agree to double precision; the Newton

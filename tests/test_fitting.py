@@ -1,5 +1,6 @@
 """MLE fits, KL-divergence scoring, and model selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -169,12 +170,129 @@ def test_gev_score_matches_central_differences(seed, n, zeta, shift, log_scale):
     steps = [1e-5, 1e-5, min(1e-5, (abs(zeta) - _MIN_ZETA) / 2)]
 
     def loglik(t):
-        # log_pdf takes log(1 + zeta*z), which loses digits as zeta nears 0.
-        log_s = np.log1p(t[2] * (x - sigma * t[0]) / math.exp(t[1]))
-        return float(np.sum(-t[1] - (1.0 + 1.0 / t[2]) * log_s - np.exp(-log_s / t[2])))
+        return fitting._loglik(Gev(sigma * t[0], math.exp(t[1]), t[2]), x)
 
     score = fitting._gev_score(Gev(sigma * theta[0], sigma, zeta), x) * [sigma, 1.0, 1.0]
     _assert_score(score, _central_differences(loglik, theta, steps), n)
+
+
+# ------------------------------------------------------------------ solver
+
+_A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+_B = np.array([1.0, -2.0, 0.5])
+
+
+def _quadratic(theta):
+    return 0.5 * theta @ _A @ theta - _B @ theta, _A @ theta - _B
+
+
+def test_bfgs_minimizes_a_quadratic():
+    theta, g, nit = fitting._bfgs(_quadratic, np.array([5.0, -3.0, 2.0]), 1e-9, 100)
+    np.testing.assert_allclose(theta, np.linalg.solve(_A, _B), rtol=1e-8)
+    assert np.max(np.abs(g)) <= 1e-9
+    assert 0 < nit < 20
+
+
+def test_bfgs_returns_at_maxiter():
+    start = np.array([5.0, -3.0, 2.0])
+    theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 2)
+    assert nit == 2
+    assert _quadratic(theta)[0] < _quadratic(start)[0]
+    np.testing.assert_array_equal(g, _quadratic(theta)[1])
+    theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 0)
+    assert nit == 0 and np.array_equal(theta, start)
+
+
+def test_bfgs_crosses_a_penalty_region():
+    # A slab of penalty points, as a fit meets where the support excludes part
+    # of the sample, lies between the start and the minimum at (-3, 0, 0). The
+    # first step lands in it; the search backs off, then steps across.
+    visited = []
+
+    def f(theta):
+        visited.append(theta.copy())
+        if 1.5 < theta[0] < 2.5:
+            return fitting._PENALTY, np.zeros(3)
+        d = theta - [-3.0, 0.0, 0.0]
+        return 0.5 * d @ d, d
+
+    theta, g, nit = fitting._bfgs(f, np.array([3.0, 0.0, 0.0]), 1e-10, 100)
+    np.testing.assert_allclose(theta, [-3.0, 0.0, 0.0], atol=1e-10)
+    assert any(1.5 < t[0] < 2.5 for t in visited)
+    assert np.all(np.isfinite(visited)) and np.all(np.isfinite(g))
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("Nelder-Mead fallback ran")
+
+
+@pytest.mark.parametrize(
+    "family, truth",
+    [("tls", Tls(mu=0.12, sigma=0.043, nu=3.0)), ("gev", Gev(mu=41.08, sigma=27.38, zeta=0.3732))],
+)
+def test_bfgs_finishes_the_likelihood_fits(monkeypatch, family, truth):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "minimize", _no_fallback)
+    x = sample(truth, seed=5, n=2000)
+    res = fit_mle(family, x)
+    assert res.converged and 0 < res.iterations < 50
+    score = {"tls": fitting._tls_score, "gev": fitting._gev_score}[family]
+    assert np.max(np.abs(score(res.dist, x) * [res.dist.sigma, 1.0, 1.0])) <= 1e-5 * x.size
+
+
+def _scipy_bfgs(f, theta, gtol, maxiter):
+    from scipy.optimize import minimize
+
+    res = minimize(f, theta, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": gtol})
+    return res.x, res.jac, res.nit
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 400),
+    truth=st.sampled_from([Tls(1.0, 0.2, 2.5), Tls(1.0, 0.2, 8.0), Tls(-3.0, 5.0, 1.2),
+                           Gev(10.0, 2.0, 0.3), Gev(10.0, 2.0, -0.2), Gev(0.0, 1.0, 0.02)]),
+)
+def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
+    # The same fit, objective and acceptance rule, once with scipy's BFGS in
+    # place of the package's own.
+    family = "tls" if isinstance(truth, Tls) else "gev"
+    x = sample(truth, seed=seed, n=n)
+    ours = fit_mle(family, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_bfgs", _scipy_bfgs)
+        theirs = fit_mle(family, x)
+    assert ours.converged == theirs.converged
+    if max(getattr(ours.dist, "nu", 0.0), getattr(theirs.dist, "nu", 0.0)) > 1e6:
+        # Near-normal samples: the t likelihood rises toward nu = inf, and both
+        # searches stop at a score of 1e-8 per value, about the log-likelihood
+        # still left to gain there.
+        assert abs(ours.log_likelihood - theirs.log_likelihood) <= 1e-8 * n
+    else:
+        assert ours.log_likelihood == pytest.approx(theirs.log_likelihood, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, truth, old",
+    [
+        # The fallback's fits of these samples before the package had its own BFGS.
+        ("tls", Tls(0.12, 0.043, 3.0), (Tls(0.12204479505836482, 0.04278404030036283, 3.382190554411232),
+                                        709.8732522245856, 103)),
+        ("gev", Gev(41.08, 27.38, 0.3732),
+         (Gev(42.285233081926975, 27.368791820348697, 0.35669411458973355), -2545.5248524943972, 141)),
+    ],
+)
+def test_nelder_mead_fallback_gives_the_old_fit(monkeypatch, family, truth, old):
+    # A BFGS run that ends short of a stationary point hands the fit to
+    # Nelder-Mead from the old start, with the old options.
+    monkeypatch.setattr(fitting, "_bfgs", lambda f, theta, gtol, maxiter: (theta, np.ones(3), 7))
+    res = fit_mle(family, sample(truth, seed=7, n=500))
+    dist, ll, iterations = old
+    assert res.converged and res.iterations == iterations
+    assert dataclasses.astuple(res.dist) == pytest.approx(dataclasses.astuple(dist), rel=1e-12)
+    assert res.log_likelihood == pytest.approx(ll, rel=1e-12)
 
 
 # -------------------------------------------------------------- divergence
