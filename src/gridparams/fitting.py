@@ -14,7 +14,6 @@ imported.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ from .distributions import (
 from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "KlScore",
     "fit_mle",
@@ -48,18 +46,9 @@ __all__ = [
 _PENALTY = 1e300
 _MIN_ZETA = 1e-6
 _Q_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer budget for the t and GEV fits; ignored by closed-form
-    families. maxiter bounds both the BFGS search and the Nelder-Mead
-    fallback; the other three fields are Nelder-Mead's alone."""
-
-    maxiter: int = 2000
-    maxfev: int = 8000
-    fatol: float = 1e-9
-    xatol: float = 1e-8
+#: Iteration budget of the BFGS search and of the Nelder-Mead fallback.
+_MAXITER = 2000
+_NELDER_MEAD = {"maxiter": _MAXITER, "maxfev": 8000, "fatol": 1e-9, "xatol": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -157,8 +146,8 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
             if not np.any(np.abs(step * p) > np.spacing(np.abs(theta))):  # the step underflows
                 return theta, g, k
         s, y = step * p, trial[1] - g
-        sy = s @ y
-        if sy > 0:
+        # A non-finite trial gradient ends the search at the next iteration.
+        if np.all(np.isfinite(y)) and (sy := s @ y) > 0:
             if h is None:
                 h = np.eye(theta.size) * (sy / (y @ y))
             v = np.eye(theta.size) - np.outer(s, y) / sy
@@ -167,7 +156,7 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
     return theta, g, maxiter
 
 
-def _fit_scored(x, make, score, start, sigma0, options: FitOptions) -> FitResult:
+def _fit_scored(x, make, score, start, sigma0) -> FitResult:
     """Maximum likelihood of make(mu, log sigma, shape), from start.
 
     BFGS runs on theta = ((mu - start[0]) / sigma0, log sigma, shape) with
@@ -181,28 +170,28 @@ def _fit_scored(x, make, score, start, sigma0, options: FitOptions) -> FitResult
             d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
         except (OverflowError, ValueError):  # sigma or nu beyond float range
             return _PENALTY, np.zeros(3)
-        with np.errstate(all="ignore"):
-            nll = _nll(d, x)
-            return nll, np.zeros(3) if nll == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
+        nll = _nll(d, x)
+        return nll, np.zeros(3) if nll == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
 
-    # gtol scales with n: where the likelihood keeps rising toward nu = inf,
-    # the log-likelihood left to gain is about the size of the score.
-    theta, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
-                          options.maxiter)
-    if np.max(np.abs(g)) <= 1e-6 * x.size:
-        d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
+    with np.errstate(all="ignore"):  # search points far from the optimum overflow
+        # gtol scales with n: where the likelihood keeps rising toward nu = inf,
+        # the log-likelihood left to gain is about the size of the score.
+        theta, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
+                              _MAXITER)
+        if np.max(np.abs(g)) <= 1e-6 * x.size:
+            d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
+            ll = _loglik(d, x)
+            if math.isfinite(ll):
+                return FitResult(d, ll, x.size, converged=True, iterations=nit)
+
+        # Imported here: scipy.optimize costs about a quarter second of import
+        # time, and only a fit that BFGS could not finish uses it.
+        from scipy.optimize import minimize
+
+        res = minimize(lambda theta: _nll(make(*theta), x), np.asarray(start, dtype=float),
+                       method="Nelder-Mead", options=_NELDER_MEAD)
+        d = make(*res.x)
         ll = _loglik(d, x)
-        if math.isfinite(ll):
-            return FitResult(d, ll, x.size, converged=True, iterations=nit)
-
-    # Imported here: scipy.optimize costs about a quarter second of import
-    # time, and only a fit that BFGS could not finish uses it.
-    from scipy.optimize import minimize
-
-    res = minimize(lambda theta: _nll(make(*theta), x), np.asarray(start, dtype=float),
-                   method="Nelder-Mead", options=dataclasses.asdict(options))
-    d = make(*res.x)
-    ll = _loglik(d, x)
     converged = bool(res.success)
     message = "" if converged else str(res.message)
     if not math.isfinite(ll):
@@ -245,7 +234,7 @@ def _gev_score(d: Gev, x: np.ndarray) -> np.ndarray:
     ])
 
 
-def _fit_tls(x: np.ndarray, options: FitOptions) -> FitResult:
+def _fit_tls(x: np.ndarray) -> FitResult:
     if x.size < 3:
         raise ValueError("t fit needs at least 3 values")
     sigma0 = _scale_guess(x)
@@ -254,10 +243,10 @@ def _fit_tls(x: np.ndarray, options: FitOptions) -> FitResult:
         return Tls(mu=float(mu), sigma=math.exp(s), nu=math.exp(t))
 
     start = [float(np.median(x)), math.log(sigma0), math.log(5.0)]
-    return _fit_scored(x, make, _tls_score, start, sigma0, options)
+    return _fit_scored(x, make, _tls_score, start, sigma0)
 
 
-def _fit_gev(x: np.ndarray, options: FitOptions) -> FitResult:
+def _fit_gev(x: np.ndarray) -> FitResult:
     if x.size < 3:
         raise ValueError("GEV fit needs at least 3 values")
     sigma0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
@@ -269,10 +258,10 @@ def _fit_gev(x: np.ndarray, options: FitOptions) -> FitResult:
 
     # Moment-style start at the Gumbel limit (Euler-Mascheroni shift).
     start = [float(np.mean(x)) - 0.5772 * sigma0, math.log(sigma0), 0.1]
-    return _fit_scored(x, make, _gev_score, start, sigma0, options)
+    return _fit_scored(x, make, _gev_score, start, sigma0)
 
 
-def fit_mle(family: str, values, options: FitOptions = FitOptions()) -> FitResult:
+def fit_mle(family: str, values) -> FitResult:
     """Fit one family by maximum likelihood.
 
     Raises ValueError for samples the family cannot represent at all
@@ -285,9 +274,9 @@ def fit_mle(family: str, values, options: FitOptions = FitOptions()) -> FitResul
     if family == "normal":
         return _fit_normal(x)
     if family == "tls":
-        return _fit_tls(x, options)
+        return _fit_tls(x)
     if family == "gev":
-        return _fit_gev(x, options)
+        return _fit_gev(x)
     raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 

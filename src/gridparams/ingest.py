@@ -120,19 +120,17 @@ class RejectReason(Enum):
 
 @dataclass(frozen=True)
 class VoltageClass:
-    """Nominal kV with a relative matching tolerance."""
+    """Nominal kV, matched within KV_TOLERANCE_FRAC of it."""
 
     nominal_kv: float
-    tolerance_frac: float = KV_TOLERANCE_FRAC
 
     def __post_init__(self):
         if not (math.isfinite(self.nominal_kv) and self.nominal_kv > 0):
             raise ValueError(f"nominal_kv must be > 0, got {self.nominal_kv}")
-        if not 0.0 <= self.tolerance_frac <= 0.1:
-            raise ValueError(f"tolerance_frac must be in [0, 0.1], got {self.tolerance_frac}")
 
-    def matches(self, kv: float) -> bool:
-        return abs(kv - self.nominal_kv) <= self.tolerance_frac * self.nominal_kv
+    def matches(self, kv):
+        """Whether kv (a float or an array of them) is in the class."""
+        return abs(kv - self.nominal_kv) <= KV_TOLERANCE_FRAC * self.nominal_kv
 
 
 _FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", "system_mva_base")
@@ -509,19 +507,14 @@ def _transformer_masks(
     return transformer, transformer & low_xr
 
 
-def voltage_class_table(
-    nominal_kvs, tolerance_frac: float = KV_TOLERANCE_FRAC
-) -> list[VoltageClass]:
+def voltage_class_table(nominal_kvs) -> list[VoltageClass]:
     """Build a class table, rejecting overlapping tolerance intervals."""
-    classes = sorted(
-        (VoltageClass(float(kv), tolerance_frac) for kv in nominal_kvs),
-        key=lambda c: c.nominal_kv,
-    )
+    classes = sorted((VoltageClass(float(kv)) for kv in nominal_kvs), key=lambda c: c.nominal_kv)
     for a, b in zip(classes, classes[1:]):
-        if a.nominal_kv * (1 + a.tolerance_frac) >= b.nominal_kv * (1 - b.tolerance_frac):
+        if a.nominal_kv * (1 + KV_TOLERANCE_FRAC) >= b.nominal_kv * (1 - KV_TOLERANCE_FRAC):
             raise ValueError(
                 f"voltage classes {a.nominal_kv} and {b.nominal_kv} overlap "
-                f"under tolerance {tolerance_frac}"
+                f"under tolerance {KV_TOLERANCE_FRAC}"
             )
     return classes
 
@@ -548,5 +541,5 @@ def _voltage_class_index(table: BranchTable, transformer: np.ndarray, classes) -
     index = np.full(kv.shape, -1)
     # Last class first, so that the first matching class is the one left.
     for i, cls in reversed(list(enumerate(classes))):
-        index[np.abs(kv - cls.nominal_kv) <= cls.tolerance_frac * cls.nominal_kv] = i
+        index[cls.matches(kv)] = i
     return index

@@ -475,6 +475,8 @@ def validate(
                 findings.append(
                     _skipped(entry, "FamilyCheck", "raw values unavailable or too few to rank fits")
                 )
+            elif obs.hist is None:
+                findings.append(_skipped(entry, "FamilyCheck", "observed histogram not computed"))
             else:
                 findings.append(
                     _check_family_rank(entry, obs, thresholds.family_rank_margin_nats)

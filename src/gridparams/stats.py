@@ -51,10 +51,10 @@ class FixedCount:
 
 @dataclass(frozen=True)
 class FreedmanDiaconis:
-    """Freedman-Diaconis width 2*IQR/n^(1/3), bin count clamped to a range."""
+    """Freedman-Diaconis width 2*IQR/n^(1/3), bin count clamped to [10, 200]."""
 
-    min_bins: int = 10
-    max_bins: int = 200
+
+_FD_MIN_BINS, _FD_MAX_BINS = 10, 200
 
 
 Binning = FixedCount | FreedmanDiaconis
@@ -112,9 +112,9 @@ def _bin_count(arr: np.ndarray, binning: Binning) -> int:
     q25, q75 = np.quantile(arr, [0.25, 0.75])
     iqr = float(q75 - q25)
     width = 2.0 * iqr / arr.size ** (1.0 / 3.0)
-    if width <= 0 or span / width > binning.max_bins:
-        return binning.max_bins
-    return max(binning.min_bins, math.ceil(span / width))
+    if width <= 0 or span / width > _FD_MAX_BINS:
+        return _FD_MAX_BINS
+    return max(_FD_MIN_BINS, math.ceil(span / width))
 
 
 def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:

@@ -505,6 +505,32 @@ def test_fit_reports_unfittable_and_no_data_cells(tmp_path):
     assert payload["fits"]["138"] == {kind.value: "no data" for kind in ParameterKind}
 
 
+def test_validate_skips_the_family_check_of_a_constant_sample(tmp_path):
+    # Twelve 115 kV lines, all rated 100 MVA: the capacity sample is constant.
+    branches = tmp_path / "lines.csv"
+    branches.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+        f"l{i},{2 * i + 1},{2 * i + 2},115,115,{0.001 * (i + 1)},{0.01 * (i + 2)},100,0,100\n"
+        for i in range(12)
+    ))
+    code, payload = _json_report(tmp_path, ["validate", "--branches", str(branches)])
+    assert code in (0, 2)
+    [finding] = [f for f in payload["findings"]
+                 if f["kind"] == "LineCapacity" and f["check"] == "FamilyCheck"]
+    assert finding["status"] == "skipped"
+
+
+def test_fit_prints_no_warning_on_three_transformers(tmp_path):
+    # The GEV search on these three X/R values meets a non-finite score.
+    branches = tmp_path / "xr3.csv"
+    branches.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+        f"t{i},{2 * i + 1},{2 * i + 2},115,13.8,1,{xr},100,1,100\n"
+        for i, xr in enumerate([13.877815272949906, 13.931529322237637, 10.874929036291789])
+    ))
+    proc = _gridparams("-W", "error", "-m", "gridparams", "fit", "--branches", str(branches),
+                       "--out", str(tmp_path / "fit.json"))
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_analyze_counts_rejections_by_reason_name(tmp_path):
     branches = tmp_path / "planted.csv"
     branches.write_text(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from gridparams import fitting
 from gridparams.distributions import Exponential, Gev, Normal, Tls, quantile, sample
 from gridparams.fitting import (
-    FitOptions,
     FitResult,
     KlScore,
     fit_and_score,
@@ -93,9 +93,11 @@ def test_tls_recovery():
     assert fit.nu == pytest.approx(truth.nu, rel=0.10)
 
 
-def test_iteration_budget_flags_nonconvergence():
+def test_iteration_budget_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(fitting, "_MAXITER", 1)
+    monkeypatch.setattr(fitting, "_NELDER_MEAD", {**fitting._NELDER_MEAD, "maxiter": 1, "maxfev": 8})
     xs = sample(Gev(mu=10.0, sigma=5.0, zeta=0.2), seed=3, n=500)
-    res = fit_mle("gev", xs, FitOptions(maxiter=1, maxfev=8))
+    res = fit_mle("gev", xs)
     assert isinstance(res, FitResult)
     assert not res.converged
     assert res.message != ""
@@ -293,6 +295,32 @@ def test_nelder_mead_fallback_gives_the_old_fit(monkeypatch, family, truth, old)
     assert res.converged and res.iterations == iterations
     assert dataclasses.astuple(res.dist) == pytest.approx(dataclasses.astuple(dist), rel=1e-12)
     assert res.log_likelihood == pytest.approx(ll, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, values, expected",
+    [
+        # A line-capacity sample that the accepted-profile property drew: a trial
+        # point of the GEV search has a finite likelihood and a non-finite score.
+        ("gev", [44564.424208420205, 817330.0, 24.0, 717028.017578125, 506783.072467144,
+                 761173.4129972508, 167600.51948593222, 171273.75, 811601.046875, 915864.5768966724],
+         FitResult(Gev(516503.9628697052, 432863.9202996606, -1.0838923646847936), -137.11740913744444,
+                   10, False, 1734, "Maximum number of function evaluations has been exceeded.")),
+        # The X/R values of three 115 kV transformers; the same happens to the GEV search.
+        ("gev", [13.877815272949906, 13.931529322237637, 10.874929036291789],
+         FitResult(Gev(12.105012610888744, 2.5607535459394613, -1.4019874715782537), 6.852678956750248,
+                   3, True, 280)),
+        # The t likelihood overflows inside the Nelder-Mead fallback.
+        ("tls", [-11.073481946881198, -1680.8411828772546, -8.691169999249492, -5.11073897038953,
+                 -355.8981771926956],
+         FitResult(Tls(-8.691169999249492, 2.0933822578789162e-150, 0.0035492601666918338),
+                   295.38330672556526, 5, True, 720)),
+    ],
+)
+def test_fits_raise_no_floating_point_warnings(family, values, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_mle(family, values) == expected
 
 
 # -------------------------------------------------------------- divergence

@@ -595,8 +595,6 @@ def test_voltage_class_matching():
     assert vc.matches(115.0)
     assert vc.matches(116.0)
     assert not vc.matches(120.0)
-    with pytest.raises(ValueError):
-        VoltageClass(nominal_kv=115.0, tolerance_frac=0.5)
 
 
 def test_voltage_class_table_rejects_overlap():
