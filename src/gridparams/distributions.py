@@ -281,7 +281,7 @@ def quantile(d: DistSpec, p):
                 t = np.where(s < 1e-100, np.where(far, tail_t, beta_t), t)
         out = d.mu + d.sigma * np.where(arr > 0.5, -t, t)
     elif isinstance(d, Gev):
-        out = d.mu + d.sigma * ((-np.log(arr)) ** (-d.zeta) - 1.0) / d.zeta
+        out = d.mu + d.sigma * np.expm1(-d.zeta * np.log(-np.log(arr))) / d.zeta
     elif isinstance(d, Exponential):
         out = -d.mu * np.log1p(-arr)
     elif isinstance(d, Normal):

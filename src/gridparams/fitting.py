@@ -320,13 +320,13 @@ def select_best(scored) -> tuple[FitResult, KlScore]:
 
 
 def fit_and_score(
-    values, *, binning: Binning = FreedmanDiaconis()
+    values, *, binning: Binning = FreedmanDiaconis(), hist: Histogram | None = None
 ) -> list[tuple[FitResult, KlScore]]:
     """Fit every family to the sample and score each against one shared
-    histogram. Families whose support cannot hold the sample (ValueError
-    from fit_mle) are skipped."""
+    histogram: hist if given, else the sample's under binning. Families
+    whose support cannot hold the sample (ValueError from fit_mle) are skipped."""
     x = as_sample(values)
-    hist = histogram(x, binning)
+    hist = histogram(x, binning) if hist is None else hist
     out = []
     for family in FAMILIES:
         try:

@@ -18,7 +18,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -326,52 +326,74 @@ def _line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _matpower_matrix(text: str, name: str, min_cols: int) -> tuple[np.ndarray, list[int]]:
-    """The first min_cols columns of matrix `name` as one (rows, min_cols)
-    float array, and the 1-based source line of each row."""
-    match = re.search(rf"\.{name}\s*=\s*\[(.*?)\]\s*;", text, re.DOTALL)
-    if match is None:
-        raise ParseError(f"missing matrix {name!r}")
-    first_line = _line_of(text, match.start(1))
-    rows, chunks, lines = [], [], []
-    for offset, source_line in enumerate(match.group(1).split("\n")):
-        for chunk in source_line.split(";"):
-            tokens = chunk.replace(",", " ").split() if chunk else None
-            if tokens:
-                rows.append(tokens)
-                chunks.append(chunk)
-                lines.append(first_line + offset)
-    flat = list(chain.from_iterable(rows))
+def _read_matrix_rows(rows: list, name: str, min_cols: int) -> np.ndarray:
+    """The row-wise reader: float() over every token of the (tokens, chunk,
+    line) rows; the first unparsable row, else the first short row, raises
+    a ParseError naming its line."""
+    values = []
+    for tokens, chunk, line in rows:
+        try:
+            values.append([float(t) for t in tokens])
+        except ValueError:
+            raise ParseError(f"matrix {name!r}: unparsable row {chunk.strip()!r}", line=line) from None
+    for i, ((_, _, line), row) in enumerate(zip(rows, values)):
+        if len(row) < min_cols:
+            message = f"{name} row {i + 1}: expected at least {min_cols} columns, got {len(row)}"
+            raise ParseError(message, line=line)
+    return np.array([row[:min_cols] for row in values], dtype=np.float64).reshape(-1, min_cols)
+
+
+def _loadtxt_matrix(body: str, min_cols: int) -> np.ndarray | None:
+    """The first min_cols columns of a matrix body read by np.loadtxt, or None
+    for a body the row-wise reader must judge. numpy splits and parses as
+    str.split() and float() do, and reads every column. It reads UTF-8, which
+    takes less memory than a StringIO and has no other `;` or `,` bytes."""
+    if not re.search(r"[^\s;,]", body):
+        return np.empty((0, min_cols))  # no token; loadtxt would warn of no data
     try:
-        values = np.fromiter(map(float, flat), np.float64, len(flat))
-    except ValueError:
-        for tokens, chunk, line in zip(rows, chunks, lines):
-            try:
-                [float(t) for t in tokens]
-            except ValueError:
-                raise ParseError(
-                    f"matrix {name!r}: unparsable row {chunk.strip()!r}", line=line
-                ) from None
-        raise
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    short = np.flatnonzero(lengths < min_cols)
-    if short.size:
-        i = int(short[0])
-        raise ParseError(
-            f"{name} row {i + 1}: expected at least {min_cols} columns, got {int(lengths[i])}",
-            line=lines[i],
-        )
-    starts = np.cumsum(lengths) - lengths
-    return values[starts[:, None] + np.arange(min_cols)], lines
+        data = io.BytesIO(body.encode().translate(bytes.maketrans(b";,", b"\n ")))
+        values = np.loadtxt(data, comments=None, ndmin=2, encoding="utf-8")
+    except (ValueError, OverflowError):
+        return None
+    return values[:, :min_cols] if values.shape[1] >= min_cols else None
 
 
-def _bus_numbers(column: np.ndarray, name: str, lines: list[int]) -> np.ndarray:
+def _matrix_span(text: str, name: str) -> tuple[int, int]:
+    """Start and end of matrix `name`'s body: the span a lazy regex
+    `(.*?)` finds between the first `.name = [` and the next `]` then `;`."""
+    head = re.search(rf"\.{name}\s*=\s*\[", text)
+    tail = head and re.compile(r"\]\s*;").search(text, head.end())
+    if tail is None:
+        raise ParseError(f"missing matrix {name!r}")
+    return head.end(), tail.start()
+
+
+def _matpower_matrix(text: str, name: str, min_cols: int):
+    """The first min_cols columns of matrix `name` as one (rows, min_cols)
+    float array, and a function from a row's index to its 1-based source line."""
+    start, end = _matrix_span(text, name)
+
+    def rows():  # (tokens, chunk, line) of each `;`- or line-separated chunk with a token
+        first_line = _line_of(text, start)
+        for offset, source_line in enumerate(text[start:end].split("\n")):
+            for chunk in source_line.split(";"):
+                tokens = chunk.replace(",", " ").split()
+                if tokens:
+                    yield tokens, chunk, first_line + offset
+
+    values = _loadtxt_matrix(text[start:end], min_cols)
+    if values is None:
+        values = _read_matrix_rows(list(rows()), name, min_cols)
+    return values, lambda row: next(islice(rows(), row, None))[2]
+
+
+def _bus_numbers(column: np.ndarray, name: str, line_of) -> np.ndarray:
     """Bus numbers from a float column, truncated toward zero like int()."""
     bad = np.flatnonzero(~(np.abs(column) < 2.0**63))
     if bad.size:
         i = int(bad[0])
         raise ParseError(
-            f"{name} row {i + 1}: bus number out of range: {float(column[i])!r}", line=lines[i]
+            f"{name} row {i + 1}: bus number out of range: {float(column[i])!r}", line=line_of(i)
         )
     return np.trunc(column).astype(np.int64)
 
@@ -393,6 +415,9 @@ def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
     fbus, tbus, r, x, b, rateA, rateB, rateC, ratio, ... Record ids are
     synthesized as "fbus-tbus-k" with k counting parallel branches. A bus
     listed twice takes the kV of its last row.
+
+    Well-formed matrices are read by numpy's C text reader; anything else
+    by a row-wise reader, which accepts the same text and names bad lines.
     """
     text = _strip_matlab_comments(decode_utf8(text) if isinstance(text, bytes) else text)
     base_match = re.search(r"\.baseMVA\s*=\s*([0-9eE.+-]+)\s*;", text)
@@ -405,19 +430,19 @@ def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
             f"unparsable baseMVA {base_match.group(1)!r}", line=_line_of(text, base_match.start())
         ) from None
 
-    bus, bus_lines = _matpower_matrix(text, "bus", 10)
+    bus, bus_line = _matpower_matrix(text, "bus", 10)
     # Unique over the reversed rows: a bus listed twice keeps its last row.
-    known, last = np.unique(_bus_numbers(bus[:, 0], "bus", bus_lines)[::-1], return_index=True)
+    known, last = np.unique(_bus_numbers(bus[:, 0], "bus", bus_line)[::-1], return_index=True)
     known_kv = bus[::-1, 9][last]
 
-    branch, branch_lines = _matpower_matrix(text, "branch", 9)
-    from_bus, to_bus = (_bus_numbers(branch[:, j], "branch", branch_lines) for j in (0, 1))
+    branch, branch_line = _matpower_matrix(text, "branch", 9)
+    from_bus, to_bus = (_bus_numbers(branch[:, j], "branch", branch_line) for j in (0, 1))
     from_known, to_known = np.isin(from_bus, known), np.isin(to_bus, known)
     unknown = np.flatnonzero(~(from_known & to_known))
     if unknown.size:
         i = int(unknown[0])
         bus_no = from_bus[i] if not from_known[i] else to_bus[i]
-        raise ParseError(f"branch row {i + 1}: unknown bus {int(bus_no)}", line=branch_lines[i])
+        raise ParseError(f"branch row {i + 1}: unknown bus {int(bus_no)}", line=branch_line(i))
 
     return base_mva, BranchTable(
         _parallel_ids(from_bus, to_bus),

@@ -372,7 +372,7 @@ def _skipped(entry, check, note):
 
 def _check_family_rank(entry, obs, margin: float) -> Finding:
     threshold = f"family_rank_margin_nats={margin:g}"
-    scored = fit_and_score(obs.values)
+    scored = fit_and_score(obs.values, hist=obs.hist)  # the histogram KlCheck uses
     candidates = [(f, s) for f, s in scored if family_tag(f.dist) == entry.family]
     if not candidates:
         return _finding(

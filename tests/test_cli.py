@@ -10,13 +10,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridparams.cli import run
-from gridparams.distributions import Normal
+from gridparams.distributions import Normal, family_tag
+from gridparams.fitting import fit_and_score, select_best
 from gridparams.ingest import CSV_HEADER, RejectReason
-from gridparams.profiles import ParameterKind, ValidationThresholds, builtin_profile, serialize_profile_json
+from gridparams.profiles import (
+    ParameterKind,
+    ValidationThresholds,
+    builtin_profile,
+    lookup,
+    serialize_profile_json,
+)
+from gridparams.stats import FixedCount
 
 CASE3 = """\
 function mpc = case3
@@ -517,6 +526,28 @@ def test_validate_skips_the_family_check_of_a_constant_sample(tmp_path):
     [finding] = [f for f in payload["findings"]
                  if f["kind"] == "LineCapacity" and f["check"] == "FamilyCheck"]
     assert finding["status"] == "skipped"
+
+
+def test_validate_bins_sets_the_bins_of_the_family_check(tmp_path):
+    # 200 lines at 115 kV rated 100..299 MVA: the capacity sample has a FamilyCheck.
+    branches = tmp_path / "lines.csv"
+    branches.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+        f"l{i},{2 * i + 1},{2 * i + 2},115,115,{0.001 * (i % 7 + 1)},{0.01 * (i % 5 + 2)},{100 + i},0,100\n"
+        for i in range(200)
+    ))
+    excess = {}
+    for bins in ("fd", "5"):
+        code, payload = _json_report(tmp_path, ["validate", "--branches", str(branches), "--bins", bins])
+        assert code in (0, 2)
+        [finding] = [f for f in payload["findings"]
+                     if f["kind"] == "LineCapacity" and f["check"] == "FamilyCheck"]
+        excess[bins] = finding["observed"]
+    # The excess on the 5-bin histogram that KlCheck would use, computed directly.
+    entry = lookup(builtin_profile(), ParameterKind.LINE_CAPACITY, 115.0)
+    scored = fit_and_score(np.arange(100.0, 300.0), binning=FixedCount(5))
+    declared = next(s.d_kl for f, s in scored if family_tag(f.dist) == entry.family)
+    assert excess["5"] == declared - select_best(scored)[1].d_kl
+    assert excess["5"] != excess["fd"]
 
 
 def test_fit_prints_no_warning_on_three_transformers(tmp_path):

@@ -25,6 +25,7 @@ from gridparams.distributions import (
     sample_stream,
     to_json,
 )
+from gridparams.fitting import _MIN_ZETA
 
 
 # ---------------------------------------------------------------- parameters
@@ -241,6 +242,37 @@ def test_gev_is_exact_near_the_zeta_clamp(zeta, x):
     assert log_pdf(d, x) == pytest.approx(expected_log_pdf, rel=1e-14)
     assert cdf(d, x) == pytest.approx(expected_cdf, rel=1e-14)
     assert pdf(d, x) == pytest.approx(math.exp(expected_log_pdf), rel=1e-14)
+
+
+# quantile(Gev(0, 1, zeta), p) to 20 digits, from 50-digit arithmetic.
+_GEV_QUANTILE_NEAR_THE_ZETA_CLAMP = {
+    (1.5e-6, 1e-6): -2.6257867433954163012,
+    (1.5e-6, 0.3): -0.18562673301939786878,
+    (1.5e-6, 0.9): 2.2503711254315499774,
+    (1.5e-6, 0.999999): 13.815653210162789587,
+    (-1.5e-6, 1e-6): -2.625797085570183506,
+    (-1.5e-6, 0.3): -0.1856267847053382774,
+    (-1.5e-6, 0.9): 2.2503635292018882171,
+    (-1.5e-6, 0.999999): 13.815366907685537973,
+}
+
+
+@pytest.mark.parametrize("zeta, p", sorted(_GEV_QUANTILE_NEAR_THE_ZETA_CLAMP))
+def test_gev_quantile_is_exact_near_the_zeta_clamp(zeta, p):
+    # ((-log p)**-zeta - 1)/zeta cancels: 2.8e-10 relative off at p = 0.3.
+    expected = _GEV_QUANTILE_NEAR_THE_ZETA_CLAMP[(zeta, p)]
+    assert quantile(Gev(0.0, 1.0, zeta), p) == pytest.approx(expected, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    zeta=st.floats(_MIN_ZETA, 10 * _MIN_ZETA).flatmap(lambda z: st.sampled_from([z, -z])),
+    p=st.floats(_U_LO, _U_HI),
+)
+@example(zeta=-1.5e-6, p=0.3)
+def test_gev_quantile_round_trips_near_the_zeta_clamp(zeta, p):
+    d = Gev(0.0, 1.0, zeta)
+    assert abs(cdf(d, quantile(d, p)) - p) <= 1e-13 * p
 
 
 @pytest.mark.parametrize("nu", [1e15, 1e20, 1e100, 1e300, 1e308])

@@ -282,8 +282,11 @@ def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
         # The fallback's fits of these samples before the package had its own BFGS.
         ("tls", Tls(0.12, 0.043, 3.0), (Tls(0.12204479505836482, 0.04278404030036283, 3.382190554411232),
                                         709.8732522245856, 103)),
+        # Then it took 141 iterations on this sample. The GEV log-density now
+        # uses log1p, whose last-bit differences steer Nelder-Mead two
+        # iterations longer to the same fit.
         ("gev", Gev(41.08, 27.38, 0.3732),
-         (Gev(42.285233081926975, 27.368791820348697, 0.35669411458973355), -2545.5248524943972, 141)),
+         (Gev(42.285233081926975, 27.368791820348697, 0.35669411458973355), -2545.5248524943972, 143)),
     ],
 )
 def test_nelder_mead_fallback_gives_the_old_fit(monkeypatch, family, truth, old):

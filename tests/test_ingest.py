@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -483,6 +486,121 @@ def test_matpower_duplicate_bus_takes_last_row():
     )
     _, recs = parse_matpower_case(doubled)
     assert recs[2].to_kv == 34.5
+
+
+def _row_wise_matpower(text):
+    """parse_matpower_case with numpy's reader refused: the row-wise reader alone."""
+    with mock.patch.object(ingest, "_loadtxt_matrix", lambda body, min_cols: None):
+        return parse_matpower_case(text)
+
+
+def _matpower_outcome(parse, text):
+    """A parse's base and table, column bytes and all, or its ParseError text and line."""
+    try:
+        base, table = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("table", base, table.ids, *(getattr(table, name).tobytes() for name in CSV_HEADER[1:]))
+
+
+# Tokens both readers take; bus numbers that are unknown or out of range;
+# tokens that float() and loadtxt treat differently ("_" in numbers,
+# non-ASCII digits) or that both reject.
+_MP_BUS = ["1", "2", "3", "2", "3.7", "+1"]
+_MP_BAD_BUS = ["9", "-4", "nan", "Inf", "1e19"]
+_MP_VALUE = ["0.01", "115", "-0.5", "+.5", "5.", "1e-320", "1e400", "Inf", "-Inf", "NaN", "inf", "nan"]
+_MP_ODD = ["1_0", "\u0661\u0662", "x", "1e", "0x1", "\x00", "0.5\x00", "[", "]"]
+_MP_SEPARATORS = [" ", "\t", ",", ", "]
+_MP_ODD_SEPARATORS = [" ,\t", "\u3000", "\x0c"]  # "\x0c" ends a line
+_MP_ROW_ENDS = [";\n"] * 4 + ["\n", ";", ";\r\n", "\r\n", ";\x0c", "; % note\n", ";;\n", ";,\n", ", ;\n"]
+
+
+def _rarely(draw, common, rare, one_in):
+    """A draw from rare about once in one_in draws, else from common."""
+    return draw(st.sampled_from(common * one_in + rare))
+
+
+@st.composite
+def _matpower_matrix_text(draw, name, n_bus_cols, min_cols):
+    width = draw(st.sampled_from([min_cols, min_cols, min_cols + 3]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = _rarely(draw, [width], [min_cols - 1, width + 1, 2], 40)
+        cells = [_rarely(draw, _MP_BUS, _MP_BAD_BUS, 40) if j < n_bus_cols else draw(st.sampled_from(_MP_VALUE))
+                 for j in range(n)]
+        if cells:
+            cells[-1] = _rarely(draw, cells[-1:], _MP_ODD, 40)
+        seps = [_rarely(draw, _MP_SEPARATORS, _MP_ODD_SEPARATORS, 40) for _ in cells[1:]] + [""]
+        lead = draw(st.sampled_from(["", "\t", " "]))
+        rows.append(lead + "".join(c + sep for c, sep in zip(cells, seps)) + draw(st.sampled_from(_MP_ROW_ENDS)))
+    close = draw(st.sampled_from(["];", "] ;", "]\n;", "]  ;  % end"]))
+    return f"mpc.{name} = [\n{''.join(rows)}{close}\n"
+
+
+@st.composite
+def _matpower_texts(draw):
+    return (
+        "% case header\nfunction mpc = case\nmpc.baseMVA = 100;  % MVA\n"
+        + draw(_matpower_matrix_text("bus", 1, 10))
+        + draw(_matpower_matrix_text("branch", 2, 9))
+    )
+
+
+_TWO_BUSES = "mpc.baseMVA = 100;\nmpc.bus = [\n" + "".join(
+    f"{b}\t1\t0\t0\t0\t0\t1\t1\t0\t{kv}\t1\t1.1\t0.9;\n" for b, kv in ((1, 115), (2, 13.8))
+) + "];\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matpower_texts())
+@example(CASE3)
+@example(CASE3.replace("];", "] ;").replace("\n", "\r\n"))
+@example(CASE3.replace("\t0.9;", "\t0.9; % bus").replace("\t", ","))
+@example(CASE3.replace("\t80\t80\t80", "\tInf\t80\t-Inf").replace("\t0.002", "\tNaN"))
+@example(CASE3.replace("\t0.012", "\t1_0"))
+@example(CASE3.replace("\t0.012", "\t\ud800"))  # no UTF-8 form
+@example(CASE3.replace("\t0.9;", "\t0.9;\u3000"))
+@example(CASE3.replace("\t-30\t30;\n];", "\t-30;\n];"))  # ragged, every row long enough
+@example(CASE3.replace("\t2\t3\t0.002", "\tnan\t3\t0.002"))
+@example(_TWO_BUSES + "mpc.branch = [\n;,;\n\x0c ;\n];\n")
+@example(_TWO_BUSES + "mpc.branch = [\n\u3000;\u2003\n];\n")
+def test_parse_matpower_matches_the_row_wise_reader(text):
+    assert _matpower_outcome(parse_matpower_case, text) == _matpower_outcome(_row_wise_matpower, text)
+
+
+@given(st.lists(_case_fragments, max_size=60).map("".join), st.sampled_from(["bus", "branch"]))
+@example("mpc.bus = [ 1 ] 2 ];", "bus")
+@example("mpc.bus = [ 1 ];\nmpc.bus = [ 2 ];", "bus")
+@example("mpc.bus = [ 1 ]\nmpc.bus = [ 2 ];", "bus")
+def test_matrix_span_is_the_lazy_regex_match(text, name):
+    match = re.search(rf"\.{name}\s*=\s*\[(.*?)\]\s*;", text, re.DOTALL)
+    if match is None:
+        with pytest.raises(ParseError, match="missing matrix"):
+            ingest._matrix_span(text, name)
+    else:
+        assert ingest._matrix_span(text, name) == match.span(1)
+
+
+def test_parse_matpower_reads_well_formed_text_without_the_row_wise_reader(monkeypatch):
+    rows = "".join(
+        f"\t{i % 2 + 1}\t{2 - i % 2}\t0.01\t0.{i % 97 + 1}\t0\t{i % 300 + 1}\t0\t0\t{i % 3 * 0.5}\t0;\n"
+        for i in range(5000)
+    )
+    large = _TWO_BUSES + f"mpc.branch = [\n{rows}];\n"
+    expected = [_matpower_outcome(_row_wise_matpower, text) for text in (CASE3, large)]
+    monkeypatch.setattr(ingest, "_read_matrix_rows", lambda *args: pytest.fail("row-wise reader used"))
+    assert [_matpower_outcome(parse_matpower_case, text) for text in (CASE3, large)] == expected
+    assert len(parse_matpower_case(large)[1]) == 5000
+    with pytest.raises(pytest.fail.Exception, match="row-wise"):
+        parse_matpower_case(CASE3.replace("\t0.012", "\t1_0"))
+
+
+@pytest.mark.parametrize("branch", ["[\n];", "[ ];", "[\n;\n,;\n] ;", "[\u3000;\u2003];"])
+def test_empty_matpower_matrix_parses_without_a_warning(branch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, table = parse_matpower_case(f"{_TWO_BUSES}mpc.branch = {branch}\n")
+    assert base == 100.0 and len(table) == 0 and table.r_pu.shape == (0,)
 
 
 # -------------------------------------------------------------- filtering
