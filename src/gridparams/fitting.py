@@ -46,6 +46,8 @@ __all__ = [
 _PENALTY = 1e300
 _MIN_ZETA = 1e-6
 _Q_FLOOR = 1e-12
+#: A t fit past this nu has run off toward the normal limit.
+_NORMAL_NU = 1e6
 #: Iteration budget of the BFGS search and of the Nelder-Mead fallback.
 _MAXITER = 2000
 _NELDER_MEAD = {"maxiter": _MAXITER, "maxfev": 8000, "fatol": 1e-9, "xatol": 1e-8}
@@ -243,7 +245,18 @@ def _fit_tls(x: np.ndarray) -> FitResult:
         return Tls(mu=float(mu), sigma=math.exp(s), nu=math.exp(t))
 
     start = [float(np.median(x)), math.log(sigma0), math.log(5.0)]
-    return _fit_scored(x, make, _tls_score, start, sigma0)
+    res = _fit_scored(x, make, _tls_score, start, sigma0)
+    # A small sample's likelihood can peak both at a heavy tail and toward the
+    # normal limit nu = inf, with a saddle between that the search may cross
+    # either way. Search the other side too when it may hold the higher peak.
+    if res.dist.nu > _NORMAL_NU:
+        other = 1.0
+    elif _fit_normal(x).log_likelihood > res.log_likelihood:
+        other = _NORMAL_NU
+    else:
+        return res
+    alt = _fit_scored(x, make, _tls_score, [start[0], start[1], math.log(other)], sigma0)
+    return alt if alt.converged and alt.log_likelihood > res.log_likelihood else res
 
 
 def _fit_gev(x: np.ndarray) -> FitResult:

@@ -257,6 +257,11 @@ def _scipy_bfgs(f, theta, gtol, maxiter):
     truth=st.sampled_from([Tls(1.0, 0.2, 2.5), Tls(1.0, 0.2, 8.0), Tls(-3.0, 5.0, 1.2),
                            Gev(10.0, 2.0, 0.3), Gev(10.0, 2.0, -0.2), Gev(0.0, 1.0, 0.02)]),
 )
+# From the t start, the two searches cross a saddle to different peaks on these
+# samples: the package's to the normal limit and scipy's to nu = 0.81, 0.2
+# higher; then scipy's to nu = 1.55, 0.22 below the package's normal limit.
+@example(seed=93, n=10, truth=Tls(1.0, 0.2, 2.5))
+@example(seed=318, n=13, truth=Tls(1.0, 0.2, 2.5))
 def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
     # The same fit, objective and acceptance rule, once with scipy's BFGS in
     # place of the package's own.
