@@ -9,7 +9,9 @@ every search point is a valid distribution; points whose support
 excludes part of the sample get a large finite penalty instead of an
 infinite objective. Where BFGS ends short of a stationary point, scipy's
 Nelder-Mead refits from the same start; only then is scipy.optimize
-imported.
+imported. The digamma difference in the t score and the cdfs that KL
+scoring integrates are the package's own (``distributions``), so no other
+scipy module is loaded to fit or score.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .distributions import (
     family_tag,
     log_pdf,
     n_params,
-    _NU_SERIES,
+    _tls_constants,
 )
 from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
 
@@ -204,14 +206,8 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
 
 def _tls_score(d: Tls, x: np.ndarray) -> np.ndarray:
     """Gradient of the t log-likelihood in (mu, log sigma, log nu); the constant's
-    part, nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu), is a series above _NU_SERIES."""
-    if d.nu > _NU_SERIES:
-        r = 1.0 / (d.nu * d.nu)
-        constant = (0.25 - r * (0.125 - r * (0.25 - r * 17.0 / 16.0))) / d.nu
-    else:
-        from scipy.special import digamma
-
-        constant = 0.5 * d.nu * float(digamma((d.nu + 1.0) / 2.0) - digamma(d.nu / 2.0)) - 0.5
+    part is nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu)."""
+    constant = 0.5 * _tls_constants(d.nu)[1]
     z = (x - d.mu) / d.sigma
     wz = (d.nu + 1.0) * z / (d.nu + z * z)
     return np.array([

@@ -157,12 +157,10 @@ class CalibratedTls:
 
 
 def _band_mass(d: Tls, lo: float, hi: float, truncate_to) -> float:
-    mass = float(cdf(d, hi) - cdf(d, lo))
-    if truncate_to is None:
-        return mass
-    t_lo, t_hi = truncate_to
-    denom = float(cdf(d, t_hi) - cdf(d, t_lo))
-    return mass / denom
+    # One cdf call for every edge: each call runs a continued fraction.
+    edges = cdf(d, np.array([lo, hi, *(truncate_to or ())], dtype=float))
+    mass = float(edges[1] - edges[0])
+    return mass if truncate_to is None else mass / float(edges[3] - edges[2])
 
 
 def calibrate_reactance_tls(

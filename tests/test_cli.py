@@ -205,9 +205,10 @@ def _as_matpower_case(fleet, path):
     return path
 
 
-def test_fit_and_validate_load_no_scipy_optimize(tmp_path):
-    # The t and GEV fits run the package's own BFGS; scipy.optimize is imported
-    # only by the Nelder-Mead fallback, which none of these fits needs.
+def test_fit_and_validate_load_no_scipy(tmp_path):
+    # The t and GEV fits run the package's own BFGS, and the t constant, score and
+    # cdf and the normal cdf are the package's own; scipy.optimize is imported only
+    # by the Nelder-Mead fallback, which none of these fits needs.
     fleet = _generate_branches(tmp_path, n=150)
     fleet_case = _as_matpower_case(fleet, tmp_path / "fleet.m")
     case3 = tmp_path / "case3.m"
@@ -220,11 +221,11 @@ def test_fit_and_validate_load_no_scipy_optimize(tmp_path):
         "-c",
         "import sys; from gridparams.cli import run; "
         f"codes = [run(argv) for argv in {argvs!r}]; "
-        "print(codes, 'scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)",
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     )
     assert proc.returncode == 0, proc.stderr
     # The three-branch case fails its checks (exit 2), but it still ran them.
-    assert proc.stdout.strip().endswith("[0, 0, 0, 0, 0, 2] True False")
+    assert proc.stdout.strip().endswith("[0, 0, 0, 0, 0, 2] []")
     for i in range(2):  # the fleet in both formats: t and GEV fits for 3 kinds in 3 classes
         fits = json.loads((tmp_path / f"fit{i}.json").read_text())["fits"]
         scored = [f for by_kind in fits.values() for cell in by_kind.values() if isinstance(cell, dict)
