@@ -6,9 +6,9 @@ MVA rating and X/R ratio, exponential (mean parameterization) for line
 reactance, and normal for line capacity and line X/R.
 
 Every family supports ``pdf``, ``cdf``, ``quantile``, and seeded
-inverse-transform ``sample``. Densities and cdfs are the package's own
-numerics, so fitting and scoring load no scipy; the t and normal quantiles
-call ``scipy.special``. Uniform variates come from numpy's PCG64 bit
+inverse-transform ``sample``. Densities, cdfs and quantiles are the
+package's own numerics on numpy, so fitting, scoring and sampling load no
+other numerical library. Uniform variates come from numpy's PCG64 bit
 generator seeded through ``SeedSequence(seed)``; callers that need several
 independent streams must derive them with ``SeedSequence(seed).spawn(k)``
 and consume the children in a fixed, documented order. With that rule,
@@ -23,9 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.special is imported by the quantiles, not here: it costs about a third
-# of a second, and commands that draw no sample never load it.
 
 __all__ = [
     "Tls",
@@ -56,7 +53,6 @@ _U_MIN = 2.0 ** -53
 #: come from series in 1/nu, exact where gammaln and digamma terms cancel.
 _NU_SERIES = 100.0
 
-#: Smallest normal float: betaincinv loses precision on subnormal numbers.
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 _erf, _erfc = np.vectorize(math.erf, otypes=[float]), np.vectorize(math.erfc, otypes=[float])
@@ -64,13 +60,35 @@ _erf, _erfc = np.vectorize(math.erf, otypes=[float]), np.vectorize(math.erfc, ot
 #: Cap on the terms of the t cdf's continued fractions; the slowest input found takes 134.
 _CF_TERMS = 200
 
+#: Cap on the refinement steps of the t quantile; the slowest input found takes 4.
+_QUANTILE_STEPS = 20
 
-def _require_finite(d) -> None:
-    """ValueError naming the first of d's fields that is not finite."""
+#: AS 241 (PPND16) numerators and denominators, ascending, for |p - 1/2| <= 0.425, r <= 5, r > 5.
+_AS241 = (
+    ((3.387132872796366608, 133.14166789178437745, 1971.5909503065514427, 13731.693765509461125,
+      45921.953931549871457, 67265.770927008700853, 33430.575583588128105, 2509.0809287301226727),
+     (1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+      21213.794301586595867, 39307.89580009271061, 28729.085735721942674, 5226.495278852545925)),
+    ((1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055, 3.64784832476320460504,
+      1.27045825245236838258, 0.24178072517745061177, 0.0227238449892691845833, 7.7454501427834140764e-4),
+     (1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+      0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4, 1.05075007164441684324e-9)),
+    ((6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358, 0.29656057182850489123,
+      0.026532189526576123093, 0.0012426609473880784386, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+     (1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+      7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7, 2.04426310338993978564e-15)),
+)
+
+
+def _require_valid(d, *positive: str) -> None:
+    """ValueError naming the first field of d that is not finite, else the first in positive not > 0."""
     for f in dataclasses.fields(d):
         value = getattr(d, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+    for name in positive:
+        if getattr(d, name) <= 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(d, name)}")
 
 
 @dataclass(frozen=True)
@@ -86,11 +104,7 @@ class Tls:
     nu: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        _require_valid(self, "sigma", "nu")
 
 
 @dataclass(frozen=True)
@@ -107,9 +121,7 @@ class Gev:
     zeta: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _require_valid(self, "sigma")
         if self.zeta == 0:
             raise ValueError("zeta must be nonzero")
 
@@ -121,9 +133,7 @@ class Exponential:
     mu: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        _require_valid(self, "mu")
 
 
 @dataclass(frozen=True)
@@ -132,9 +142,7 @@ class Normal:
     sigma: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _require_valid(self, "sigma")
 
 
 DistSpec = Tls | Gev | Exponential | Normal
@@ -196,11 +204,11 @@ def log_pdf(d: DistSpec, x):
     arr, scalar = _split(x)
     if isinstance(d, Tls):
         z = (arr - d.mu) / d.sigma
-        out = (
-            _tls_constants(d.nu)[0]
-            - math.log(d.sigma)
-            - ((d.nu + 1.0) / 2.0) * np.log1p(z * z / d.nu)
-        )
+        with np.errstate(over="ignore"):
+            w = np.log1p(z * z / d.nu)
+            if np.isinf(w).any():  # z*z/nu overflowed; the log is finite unless z is
+                w = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
+        out = _tls_constants(d.nu)[0] - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * w
     elif isinstance(d, Gev):
         log_s, inside = _gev_support(d, arr)
         out = np.where(
@@ -276,7 +284,7 @@ def _tls_tail(nu: float, t) -> tuple[np.ndarray, np.ndarray]:
         log_tail[i] = a * log_x[i] + rest
         # Where t*t > nu, x**a = |m|**-nu (nu/4**e)**a (1 + r)**-a for t = m 2**e: exact pow arguments.
         m, e = np.frexp(t[i])
-        q = np.ldexp(nu, -2 * e)
+        q = np.ldexp(float(nu), -2 * e)  # an int nu would pick numpy's float16 loop
         pow_m, pow_q = np.power(np.abs(m), -nu), np.power(q, a)
         exact = ~small[i] & (q >= _TINY) & (pow_q >= _TINY) & np.isfinite(pow_m)
         lead = np.where(exact, pow_m * pow_q * np.exp(-a * log1p_r[i]), np.exp(a * log_x[i]))
@@ -312,47 +320,76 @@ def cdf(d: DistSpec, x):
     return _join(out, scalar)
 
 
+def _ndtri(p):
+    """Normal quantile by Wichura's AS 241, about 1e-16 relative; r = sqrt(-log(min(p, 1 - p)))."""
+    q = p - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))  # exact: 1 - p is representable for p >= 1/2
+        ratios = [np.polyval(a[::-1], x) / np.polyval(b[::-1], x)
+                  for (a, b), x in zip(_AS241, (0.180625 - q * q, r - 1.6, r - 5.0))]
+    return np.where(np.abs(q) <= 0.425, q * ratios[0], np.copysign(np.where(r <= 5.0, *ratios[1:]), q))
+
+
+def _hill_start(nu: float, s):
+    """Hill's approximation (CACM Algorithm 396, 1970, as in R's qt) to the t quantile at
+    lower tails s, for 1 <= nu <= 1e20: about the normal, or in powers of (2 d s)**(2/nu)."""
+    a = 1.0 / (nu - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * nu
+    y = np.exp(2.0 * (math.log(d) + np.log(2.0 * s)) / nu)
+    x = _ndtri(s)
+    c = c + (0.3 * (nu - 4.5) * (x + 0.6) if nu < 5 else 0.0)
+    c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+    x = (((((0.4 * x * x + 6.3) * x * x + 36.0) * x * x + 94.5) / c - x * x - 3.0) / b + 1.0) * x
+    w = ((1.0 / (((nu + 6.0) / (nu * y) - 0.089 * d - 0.822) * (nu + 2.0) * 3.0) + 0.5 / (nu + 4.0)) * y
+         - 1.0) * (nu + 1.0) / (nu + 2.0) + 1.0 / y
+    return -np.sqrt(np.where((y > 0.05 + a) | ((nu < 2.1) & (s > 0.25)), nu * np.expm1(a * x * x), nu * w))
+
+
+def _tls_lower_quantile(nu: float, s: np.ndarray) -> np.ndarray:
+    """Student's t quantile (<= 0) at lower tails s in (0, 1/2], a 1-d array. With f0 the density
+    at 0, 1/2 - f0 |t| <= s <= C |t|**-nu, C = f0 nu**((nu-1)/2). The start is the first bound for
+    nu < 1, Hill's up to nu = 1e20 and the normal quantile above; the second bound is exact where
+    nu/t**2 is subnormal. Second-order steps solve h = log(tail/s) = 0 in u = log|t| (h concave,
+    h' = -r, r = f|t|/tail, h''/h' = 1 + r - (nu+1)/(1 + nu/t**2)) until a step of 1e-6 (whose error
+    is near 1e-18: the steps converge cubically) or a miss within rounding; ArithmeticError past the cap."""
+    log_s, log_f0 = np.log(s), _tls_constants(nu)[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
+        power = -np.exp((0.5 - 0.5 / nu) * math.log(nu) + (log_f0 - log_s) / nu)  # C overflows at huge nu
+        start = (s - 0.5) / math.exp(log_f0) if nu < 1 else _hill_start(nu, s) if nu <= 1e20 else _ndtri(s)
+        exact = (nu / (power * power) < _TINY) & (s < 0.5)
+        t = np.where(exact, power, np.fmax(start, power))
+        todo = np.flatnonzero(~exact & (t != 0.0))
+        for _ in range(_QUANTILE_STEPS):
+            if todo.size == 0:
+                return t
+            tk, sk, log_sk = t[todo], s[todo], log_s[todo]
+            tail, log_tail = _tls_tail(nu, tk)
+            miss = np.where((tail >= _TINY) & (sk >= _TINY), np.log(tail / sk), log_tail - log_sk)
+            r = -tk * np.exp(log_pdf(Tls(0.0, 1.0, nu), tk) - log_tail)
+            x = miss / r
+            step = x * np.clip(1.0 - 0.5 * x * (1.0 + r - (nu + 1.0) / (1.0 + nu / (tk * tk))), 0.5, 1.5)
+            t[todo] = tk * np.exp(step)
+            todo = todo[(np.abs(step) > 1e-6) & (np.abs(miss) > 8.0 * _EPS * (1.0 - log_sk))]
+    raise ArithmeticError(f"t quantile took more than {_QUANTILE_STEPS} steps")
+
+
 def quantile(d: DistSpec, p):
     """Inverse cdf. p must lie strictly inside (0, 1)."""
     arr, scalar = _split(p)
     if not np.all((arr > 0) & (arr < 1)):  # also rejects NaN
         raise ValueError("quantile requires 0 < p < 1")
     if isinstance(d, Tls):
-        # Solved in the smaller tail s and mirrored, so q(1 - p) == -q(p). stdtrit's
-        # cdf residual reaches 5e-13 relative near p = 0.2, nu = 3: one Newton step
-        # follows. Below s = 1e-100 stdtrit fails (inf at 1e-300 for nu = 3). There
-        # betaincinv (or ndtri, where 1 - x rounds away at huge nu) inverts I_x(nu/2, 1/2)/2
-        # = s0 = max(s, _TINY / 2), and four Newton steps on log s in log|t| cover the 36
-        # nats to 5e-324; where nu/t**2 is subnormal, s = C |t|**-nu, C = f0 nu**((nu-1)/2).
-        from scipy.special import betaincinv, ndtri, stdtr, stdtrit
-
-        s = np.minimum(arr, 1.0 - arr)  # exact: 1 - p is representable for p >= 1/2
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = stdtrit(d.nu, s)
-            t = np.array(t - (stdtr(d.nu, t) - s) / pdf(Tls(0.0, 1.0, d.nu), t))
-            deep = s < 1e-100
-            if np.any(deep):
-                s0 = np.maximum(s[deep], _TINY / 2.0)
-                x = betaincinv(d.nu / 2.0, 0.5, 2.0 * s0)
-                log_f0 = _tls_constants(d.nu)[0]  # log C overflows at huge nu: divide by nu first
-                power_t = -np.exp((0.5 - 0.5 / d.nu) * math.log(d.nu) + (log_f0 - np.log(s[deep])) / d.nu)
-                tail_t = np.minimum(-np.sqrt(d.nu * (1.0 / x - 1.0)), ndtri(s0))
-                for _ in range(4):
-                    tail, log_tail = _tls_tail(d.nu, tail_t)
-                    # log(tail / s) keeps the digits of a normal s.
-                    miss = np.where(s0 > s[deep], log_tail - np.log(s[deep]), np.log(tail / s0))
-                    step = miss * np.exp(log_tail - log_pdf(Tls(0.0, 1.0, d.nu), tail_t))
-                    tail_t = tail_t * np.exp(step / -tail_t)
-                t[deep] = np.where(d.nu / (power_t * power_t) < _TINY, power_t, tail_t)
+        # Solved in the smaller tail and mirrored, so q(1 - p) == -q(p).
+        t = _tls_lower_quantile(d.nu, np.minimum(arr, 1.0 - arr).reshape(-1)).reshape(arr.shape)
         out = d.mu + d.sigma * np.where(arr > 0.5, -t, t)
     elif isinstance(d, Gev):
         out = d.mu + d.sigma * np.expm1(-d.zeta * np.log(-np.log(arr))) / d.zeta
     elif isinstance(d, Exponential):
         out = -d.mu * np.log1p(-arr)
     elif isinstance(d, Normal):
-        from scipy.special import ndtri
-
-        out = d.mu + d.sigma * ndtri(arr)
+        out = d.mu + d.sigma * _ndtri(arr)
     else:
         raise TypeError(f"not a distribution spec: {d!r}")
     return _join(out, scalar)

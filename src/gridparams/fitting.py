@@ -169,13 +169,16 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
     Nelder-Mead runs from start on (mu, log sigma, shape).
     """
 
-    def nll_and_gradient(theta):
+    def nll(mu, log_sigma, shape):
         try:
-            d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
+            d = make(mu, log_sigma, shape)
         except (OverflowError, ValueError):  # sigma or nu beyond float range
-            return _PENALTY, np.zeros(3)
-        nll = _nll(d, x)
-        return nll, np.zeros(3) if nll == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
+            return _PENALTY, None
+        return _nll(d, x), d
+
+    def nll_and_gradient(theta):
+        value, d = nll(start[0] + sigma0 * theta[0], theta[1], theta[2])
+        return value, np.zeros(3) if value == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
 
     with np.errstate(all="ignore"):  # search points far from the optimum overflow
         # gtol scales with n: where the likelihood keeps rising toward nu = inf,
@@ -192,7 +195,7 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
         # time, and only a fit that BFGS could not finish uses it.
         from scipy.optimize import minimize
 
-        res = minimize(lambda theta: _nll(make(*theta), x), np.asarray(start, dtype=float),
+        res = minimize(lambda theta: nll(*theta)[0], np.asarray(start, dtype=float),
                        method="Nelder-Mead", options=_NELDER_MEAD)
         d = make(*res.x)
         ll = _loglik(d, x)

@@ -191,6 +191,25 @@ def test_analyze_and_hist_load_no_scipy(tmp_path):
     assert proc.stdout.strip().endswith("[0, 0, 0] []")
 
 
+def test_generate_loads_no_scipy(tmp_path):
+    # The t and normal quantiles that generate samples through are the package's own.
+    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
+    profile = tmp_path / "lines.json"
+    profile.write_text(serialize_profile_json(
+        [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]))
+    argvs = [["generate", "--class", "115", "--n", "500", "--seed", "1", "--kind", kind, "--emit", emit,
+              "--profile", str(profile), "--out", str(tmp_path / f"{kind}-{emit}.csv")]
+             for kind in ("transformer", "line") for emit in ("params", "branches")]
+    proc = _gridparams(
+        "-c",
+        "import sys; from gridparams.cli import run; "
+        f"codes = [run(argv) for argv in {argvs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("[0, 0, 0, 0] []")
+
+
 def _as_matpower_case(fleet, path):
     """The branch CSV as a MATPOWER case, two buses of its own per branch."""
     rows = [line.split(",") for line in fleet.read_text().splitlines()[1:]]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridparams import fitting
-from gridparams.distributions import Exponential, Gev, Normal, Tls, quantile, sample
+from gridparams.distributions import Exponential, Gev, Normal, Tls, pdf, quantile, sample
 from gridparams.fitting import (
     FitResult,
     KlScore,
@@ -281,6 +281,18 @@ def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
         assert ours.log_likelihood == pytest.approx(theirs.log_likelihood, rel=1e-9)
 
 
+def _stdtrit_sample(d, seed, n):
+    """sample(d, seed, n) for a Tls as it was drawn before the package had its own t
+    quantile: scipy's stdtrit in the smaller tail, then one Newton step on stdtr."""
+    from scipy.special import stdtr, stdtrit
+
+    u = np.maximum(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(n), 2.0**-53)
+    s = np.minimum(u, 1.0 - u)
+    t = stdtrit(d.nu, s)
+    t = t - (stdtr(d.nu, t) - s) / pdf(Tls(0.0, 1.0, d.nu), t)
+    return d.mu + d.sigma * np.where(u > 0.5, -t, t)
+
+
 @pytest.mark.parametrize(
     "family, truth, old",
     [
@@ -300,9 +312,11 @@ def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
 )
 def test_nelder_mead_fallback_gives_the_old_fit(monkeypatch, family, truth, old):
     # A BFGS run that ends short of a stationary point hands the fit to
-    # Nelder-Mead from the old start, with the old options.
+    # Nelder-Mead from the old start, with the old options. The t sample is
+    # drawn as it was then: the fit moves 7e-8 on today's last-digit draws.
     monkeypatch.setattr(fitting, "_bfgs", lambda f, theta, gtol, maxiter: (theta, np.ones(3), 7))
-    res = fit_mle(family, sample(truth, seed=7, n=500))
+    x = _stdtrit_sample(truth, 7, 500) if family == "tls" else sample(truth, seed=7, n=500)
+    res = fit_mle(family, x)
     dist, ll, iterations = old
     assert res.converged and res.iterations == iterations
     assert dataclasses.astuple(res.dist) == pytest.approx(dataclasses.astuple(dist), rel=1e-12)
@@ -322,11 +336,15 @@ def test_nelder_mead_fallback_gives_the_old_fit(monkeypatch, family, truth, old)
         ("gev", [13.877815272949906, 13.931529322237637, 10.874929036291789],
          FitResult(Gev(12.105012610888744, 2.5607535459394613, -1.4019874715782537), 6.852678956750248,
                    3, True, 280)),
-        # The t likelihood overflows inside the Nelder-Mead fallback.
+        # The t likelihood has no maximum here: it grows without bound as sigma
+        # shrinks about the value -8.69. The Nelder-Mead fallback follows it until
+        # sigma underflows to 0, which it scores as a penalty. (Until log_pdf was
+        # finite past the overflow of z*z/nu, it stopped at sigma = 2.1e-150, with a
+        # log-likelihood of 295.38, where that overflow gave -inf.)
         ("tls", [-11.073481946881198, -1680.8411828772546, -8.691169999249492, -5.11073897038953,
                  -355.8981771926956],
-         FitResult(Tls(-8.691169999249492, 2.0933822578789162e-150, 0.0035492601666918338),
-                   295.38330672556526, 5, True, 720)),
+         FitResult(Tls(-8.691169999249492, 9.301643202903696e-306, 0.0015849474783059523),
+                   649.964174618752, 5, True, 656)),
     ],
 )
 def test_fits_raise_no_floating_point_warnings(family, values, expected):
