@@ -186,7 +186,12 @@ def _gev_support(d: Gev, arr):
 def _tls_constants(nu: float) -> tuple[float, float]:
     """(log f0, h) at x = nu/2: log f0 = log(gamma(x + 1/2)/gamma(x)) - log(2 pi x)/2, the
     standard t log-density at 0, and h = nu*(digamma(x + 1/2) - digamma(x)) - 1. Series in
-    1/nu above _NU_SERIES; below, x is first shifted past it by gamma(x + 1) = x*gamma(x)."""
+    1/nu above _NU_SERIES; below, x is first shifted past it by gamma(x + 1) = x*gamma(x).
+    Below nu = 1e-20, where the shift's logs of 1/nu cancel (and past 1e-307 overflow), the
+    nu -> 0 limit is exact to rounding: log f0 = log(nu)/2 - log 2 - nu log 2 + O(nu**2) and
+    h = 1 - 1.39 nu + O(nu**2)."""
+    if nu < 1e-20:
+        return 0.5 * math.log(nu) - math.log(2.0), 1.0
     k = 0 if nu > _NU_SERIES else math.floor((_NU_SERIES - nu) / 2.0) + 1
     n = nu + 2.0 * k
     r = 1.0 / (n * n)
@@ -204,7 +209,7 @@ def log_pdf(d: DistSpec, x):
     arr, scalar = _split(x)
     if isinstance(d, Tls):
         z = (arr - d.mu) / d.sigma
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):  # log|z| of a z = 0 goes unused
             w = np.log1p(z * z / d.nu)
             if np.isinf(w).any():  # z*z/nu overflowed; the log is finite unless z is
                 w = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
@@ -264,7 +269,8 @@ def _tls_tail(nu: float, t) -> tuple[np.ndarray, np.ndarray]:
     continued fraction of I_{1-x}(1/2, a) (Press et al., 6.4). t*t/nu enters as
     r = min(t*t, nu)/max(t*t, nu), so an overflowing t*t gives x = 0: the power-law tail.
     """
-    a = nu / 2.0
+    # The fractions divide by a; below nu = 1e-300 the tail is 1/2 to rounding either way.
+    a = max(nu, 1e-300) / 2.0
     log_f0 = _tls_constants(nu)[0]
     tail, log_tail = np.empty(t.shape), np.empty(t.shape)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):

@@ -7,11 +7,10 @@ closed-form score of the likelihood (Liu & Rubin 1995; Coles 2001,
 section 3.3), on transformed parameters (log scale for sigma and nu) so
 every search point is a valid distribution; points whose support
 excludes part of the sample get a large finite penalty instead of an
-infinite objective. Where BFGS ends short of a stationary point, scipy's
-Nelder-Mead refits from the same start; only then is scipy.optimize
-imported. The digamma difference in the t score and the cdfs that KL
-scoring integrates are the package's own (``distributions``), so no other
-scipy module is loaded to fit or score.
+infinite objective. A search that ends short of a stationary point is
+reported as not converged, at the point where it ended. The digamma
+difference in the t score and the cdfs that KL scoring integrates are the
+package's own (``distributions``), so fitting and scoring need only numpy.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ _MIN_ZETA = 1e-6
 _Q_FLOOR = 1e-12
 #: A t fit past this nu has run off toward the normal limit.
 _NORMAL_NU = 1e6
-#: Iteration budget of the BFGS search and of the Nelder-Mead fallback.
+#: Iteration budget of the BFGS search.
 _MAXITER = 2000
-_NELDER_MEAD = {"maxiter": _MAXITER, "maxfev": 8000, "fatol": 1e-9, "xatol": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -165,19 +163,16 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
 
     BFGS runs on theta = ((mu - start[0]) / sigma0, log sigma, shape) with
     the score as its gradient, and has converged when it ends at a score of
-    at most 1e-6 per value with a finite log-likelihood. Otherwise
-    Nelder-Mead runs from start on (mu, log sigma, shape).
+    at most 1e-6 per value with a finite log-likelihood. Otherwise the point
+    where it ended is returned with converged=False and the reason.
     """
 
-    def nll(mu, log_sigma, shape):
-        try:
-            d = make(mu, log_sigma, shape)
-        except (OverflowError, ValueError):  # sigma or nu beyond float range
-            return _PENALTY, None
-        return _nll(d, x), d
-
     def nll_and_gradient(theta):
-        value, d = nll(start[0] + sigma0 * theta[0], theta[1], theta[2])
+        try:
+            d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
+        except (OverflowError, ValueError):  # sigma or nu beyond float range
+            return _PENALTY, np.zeros(3)
+        value = _nll(d, x)
         return value, np.zeros(3) if value == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
 
     with np.errstate(all="ignore"):  # search points far from the optimum overflow
@@ -185,26 +180,19 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
         # the log-likelihood left to gain is about the size of the score.
         theta, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
                               _MAXITER)
-        if np.max(np.abs(g)) <= 1e-6 * x.size:
-            d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
-            ll = _loglik(d, x)
-            if math.isfinite(ll):
-                return FitResult(d, ll, x.size, converged=True, iterations=nit)
-
-        # Imported here: scipy.optimize costs about a quarter second of import
-        # time, and only a fit that BFGS could not finish uses it.
-        from scipy.optimize import minimize
-
-        res = minimize(lambda theta: nll(*theta)[0], np.asarray(start, dtype=float),
-                       method="Nelder-Mead", options=_NELDER_MEAD)
-        d = make(*res.x)
+        # make does not raise here: the search ends at the start or at a point
+        # whose objective is below the start's, so below _PENALTY.
+        d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
         ll = _loglik(d, x)
-    converged = bool(res.success)
-    message = "" if converged else str(res.message)
     if not math.isfinite(ll):
-        converged = False
         message = "fitted parameters exclude part of the sample from the support"
-    return FitResult(d, ll, x.size, converged=converged, iterations=int(res.nit), message=message)
+    elif not np.all(np.isfinite(g)):
+        message = "the score is not finite at the fitted parameters"
+    elif np.max(np.abs(g)) > 1e-6 * x.size:
+        message = f"search ended at max |score| {np.max(np.abs(g)) / x.size:.3g} per value, above 1e-6"
+    else:
+        return FitResult(d, ll, x.size, converged=True, iterations=nit)
+    return FitResult(d, ll, x.size, converged=False, iterations=nit, message=message)
 
 
 def _tls_score(d: Tls, x: np.ndarray) -> np.ndarray:

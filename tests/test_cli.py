@@ -226,8 +226,7 @@ def _as_matpower_case(fleet, path):
 
 def test_fit_and_validate_load_no_scipy(tmp_path):
     # The t and GEV fits run the package's own BFGS, and the t constant, score and
-    # cdf and the normal cdf are the package's own; scipy.optimize is imported only
-    # by the Nelder-Mead fallback, which none of these fits needs.
+    # cdf and the normal cdf are the package's own.
     fleet = _generate_branches(tmp_path, n=150)
     fleet_case = _as_matpower_case(fleet, tmp_path / "fleet.m")
     case3 = tmp_path / "case3.m"
@@ -250,6 +249,28 @@ def test_fit_and_validate_load_no_scipy(tmp_path):
         scored = [f for by_kind in fits.values() for cell in by_kind.values() if isinstance(cell, dict)
                   for f in cell["fits"] if f["family"] in ("tls", "gev")]
         assert len(scored) == 18 and all(f["converged"] for f in scored)
+
+
+def test_fit_of_three_transformers_loads_no_scipy(tmp_path):
+    # The X/R values of three 115 kV transformers: the GEV search stops where its
+    # score is not finite, and reports the fit not converged.
+    xr3 = tmp_path / "xr3.csv"
+    xr3.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+        f"t{i},{2 * i + 1},{2 * i + 2},115,13.8,1,{x},100,1,100\n"
+        for i, x in enumerate([13.877815272949906, 13.931529322237637, 10.874929036291789])))
+    argv = ["fit", "--branches", str(xr3), "--out", str(tmp_path / "xr3.json")]
+    proc = _gridparams(
+        "-c",
+        "import sys; from gridparams.cli import run; "
+        f"code = run({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("0 []")
+    cell = json.loads((tmp_path / "xr3.json").read_text())["fits"]["115"]["TransformerXr"]
+    gev = next(f for f in cell["fits"] if f["family"] == "gev")
+    assert not gev["converged"] and gev["message"] == "the score is not finite at the fitted parameters"
+    assert cell["best_family"] == "normal"
 
 
 def test_validate_zero_reference_median_is_an_input_error(tmp_path):

@@ -461,6 +461,37 @@ def test_tls_constant_and_score_term_are_continuous_at_the_series():
         assert shifted[1] == pytest.approx(above[1], rel=1e-13)
 
 
+def test_tls_constants_are_continuous_at_the_small_nu_limit():
+    shifted, limit = _tls_constants(1e-20), _tls_constants(float(np.nextafter(1e-20, 0.0)))
+    assert shifted[0] == pytest.approx(limit[0], rel=1e-15)
+    assert shifted[1] == pytest.approx(limit[1], rel=1e-15)
+
+
+_TINY_NU = [5e-324, 1e-320, 1e-310, 1e-300]
+
+
+@pytest.mark.parametrize("nu", _TINY_NU)
+def test_tls_constants_at_tiny_nu_are_the_small_nu_limit(nu):
+    # As nu -> 0 the standard t density at 0 tends to sqrt(nu)/2, and h to 1.
+    log_f0, h = _tls_constants(nu)
+    assert log_f0 == pytest.approx(0.5 * math.log(nu) - math.log(2.0), rel=1e-15)
+    assert h == 1.0
+
+
+@pytest.mark.parametrize("nu", _TINY_NU)
+def test_tls_log_pdf_and_cdf_at_tiny_nu(nu):
+    # As nu -> 0 the density tends to nu/(2|z|) where z*z >> nu, and the mass
+    # escapes to both infinities: the cdf is 1/2 to rounding at every finite z.
+    d = Tls(0.0, 1.0, nu)
+    z = np.array([-1e300, -1.0, -1e-100, 1e-100, 1.0, 1e300, 0.0])  # z*z/nu overflows beside z = 0
+    got = log_pdf(d, z)
+    np.testing.assert_allclose(got[:-1], math.log(nu) - math.log(2.0) - np.log(np.abs(z[:-1])), rtol=1e-14)
+    assert got[-1] == _tls_constants(nu)[0]
+    np.testing.assert_allclose(cdf(d, np.array([-1e300, -1.0, -1e-300, 0.0, 1e-300, 1.0, 1e300])), 0.5,
+                               rtol=0.0, atol=1e-14)
+    assert cdf(d, -math.inf) == 0.0 and cdf(d, math.inf) == 1.0
+
+
 @pytest.mark.parametrize("nu", [1e6, 1e15, 1e308])
 def test_tls_cdf_at_huge_nu_is_the_normal_cdf(nu):
     # The gap to the normal cdf is phi(t) (t**3 + t) / (4 nu) + O(nu**-2).

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("make_demo_case.py", ["--n", "300", "--lines", "100", "--out", "{tmp}/demo.csv"]),
         ("decorrelation_demo.py", ["--n", "2000"]),
         ("fit_recovery.py", ["--n", "2000"]),
+        ("fit_survey.py", ["--seeds", "3", "--sizes", "3,5,10"]),
     ],
 )
 def test_script_exits_0(tmp_path, script, args):
