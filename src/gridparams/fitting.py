@@ -49,8 +49,9 @@ _MIN_ZETA = 1e-6
 _Q_FLOOR = 1e-12
 #: A t fit past this nu has run off toward the normal limit.
 _NORMAL_NU = 1e6
-#: Iteration budget of the BFGS search.
-_MAXITER = 2000
+#: Iteration budget of the BFGS search. Converged fits take a few dozen
+#: (scripts/fit_survey.py checks the margin); longer searches chase a likelihood without a maximum.
+_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,12 @@ def _fit_gev(x: np.ndarray) -> FitResult:
     def make(mu, s, zeta) -> Gev:
         return Gev(mu=float(mu), sigma=math.exp(s), zeta=_clamp_zeta(float(zeta)))
 
-    # Moment-style start at the Gumbel limit (Euler-Mascheroni shift).
-    start = [float(np.mean(x)) - 0.5772 * sigma0, math.log(sigma0), 0.1]
+    # Moment-style start at the Gumbel limit (Euler-Mascheroni shift). The
+    # support of zeta = 0.1 starts at mu0 - 10 sigma0; below a lower outlier
+    # past that, zeta starts where the support holds twice the outlier's gap.
+    mu0 = float(np.mean(x)) - 0.5772 * sigma0
+    gap = mu0 - float(np.min(x))
+    start = [mu0, math.log(sigma0), 0.5 * sigma0 / gap if gap >= 10.0 * sigma0 else 0.1]
     return _fit_scored(x, make, _gev_score, start, sigma0)
 
 

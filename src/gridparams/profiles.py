@@ -39,7 +39,6 @@ from .stats import Histogram, SummaryStats
 
 __all__ = [
     "ParameterKind",
-    "TRANSFORMER_KINDS",
     "LINE_KINDS",
     "EXPECTED_FAMILY",
     "SummaryRef",
@@ -69,14 +68,6 @@ class ParameterKind(Enum):
     LINE_CAPACITY = "LineCapacity"
     LINE_XR = "LineXr"
 
-
-TRANSFORMER_KINDS = frozenset(
-    {
-        ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE,
-        ParameterKind.TRANSFORMER_MVA_RATING,
-        ParameterKind.TRANSFORMER_XR,
-    }
-)
 
 LINE_KINDS = frozenset(
     {
@@ -352,39 +343,82 @@ def builtin_profile() -> list[ReferenceEntry]:
     return list(_builtin())
 
 
-def _finding(entry, check, observed, expected, threshold, ok, note=""):
-    """entry's Finding of check: pass or fail by ok, or skipped when ok is None."""
-    return Finding(
-        kind=entry.kind,
-        class_kv=entry.class_kv,
-        check=check,
-        observed=observed,
-        expected=expected,
-        threshold=threshold,
-        status="skipped" if ok is None else "pass" if ok else "fail",
-        note=note,
-    )
+# Each check maps (entry, observed stats, its threshold, the class's
+# reactance-rating spearman or None) to None when it does not apply to the
+# entry, to a note when it applies but its data is missing (skipped), or to
+# (observed, expected, passed, note).
 
 
-def _skipped(entry, check, note):
-    return _finding(entry, check, None, None, "none", None, note)
+def _median_check(entry, obs, limit, rho):
+    ref = entry.summary
+    if ref is None or ref.median is None:
+        return None
+    return obs.summary.median, ref.median, abs(obs.summary.median / ref.median - 1.0) <= limit, ""
 
 
-def _check_family_rank(entry, obs, margin: float) -> Finding:
-    threshold = f"family_rank_margin_nats={margin:g}"
-    scored = fit_and_score(obs.values, hist=obs.hist)  # the histogram KlCheck uses
-    candidates = [(f, s) for f, s in scored if family_tag(f.dist) == entry.family]
-    if not candidates:
-        return _finding(
-            entry, "FamilyCheck", None, None, threshold, False,
-            note=f"family {entry.family!r} cannot represent the observed sample",
-        )
-    _, best_score = select_best(scored)
-    excess = candidates[0][1].d_kl - best_score.d_kl
-    return _finding(
-        entry, "FamilyCheck", excess, margin, threshold, excess <= margin,
-        note=f"KL excess of {entry.family!r} over the best-ranked family",
-    )
+def _band_check(entry, obs, limit, rho):
+    if entry.band is None:
+        return None
+    if obs.band_fraction is None:
+        return "observed band fraction not computed"
+    fraction = entry.band.fraction
+    return obs.band_fraction, fraction, abs(obs.band_fraction - fraction) <= limit, ""
+
+
+def _range_check(entry, obs, factor, rho):
+    """Observed extremes inside the reference range widened about its center by factor."""
+    ref = entry.summary
+    if ref is None or ref.min is None or ref.max is None:
+        return None
+    center, half = 0.5 * (ref.min + ref.max), 0.5 * (ref.max - ref.min) * factor
+    lo, hi = center - half, center + half
+    s = obs.summary
+    return (s.min, s.max), (lo, hi), lo <= s.min and s.max <= hi, ""
+
+
+def _kl_check(entry, obs, limit, rho):
+    if entry.fitted is None:
+        return None
+    if obs.hist is None:
+        return "observed histogram not computed"
+    score = kl_divergence(obs.hist, entry.fitted)
+    return score.d_kl, limit, score.d_kl <= limit, f"over {score.bins_used} occupied bins"
+
+
+def _family_check(entry, obs, margin, rho):
+    """Line entries with a family but no parameters: the family must rank
+    first by KL on the histogram KlCheck uses, or within margin of the first."""
+    if entry.fitted is not None or entry.family is None or entry.kind not in LINE_KINDS:
+        return None
+    if obs.values is None or np.asarray(obs.values).size < 10:
+        return "raw values unavailable or too few to rank fits"
+    if obs.hist is None:
+        return "observed histogram not computed"
+    scored = fit_and_score(obs.values, hist=obs.hist)
+    own = [score for fit, score in scored if family_tag(fit.dist) == entry.family]
+    if not own:
+        return None, None, False, f"family {entry.family!r} cannot represent the observed sample"
+    excess = own[0].d_kl - select_best(scored)[1].d_kl
+    return excess, margin, excess <= margin, f"KL excess of {entry.family!r} over the best-ranked family"
+
+
+def _decorrelation_check(entry, obs, bound, rho):
+    if entry.kind is not ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE:
+        return None
+    if rho is None:
+        return "reactance-rating correlation not provided"
+    return rho, (-bound, bound), abs(rho) <= bound, "spearman(own-base reactance, rating)"
+
+
+#: (check name, ValidationThresholds field, check), in the order findings are reported.
+_CHECKS = (
+    ("MedianCheck", "median_rel", _median_check),
+    ("BandCheck", "band_abs", _band_check),
+    ("RangeCheck", "range_factor", _range_check),
+    ("KlCheck", "kl_max_nats", _kl_check),
+    ("FamilyCheck", "family_rank_margin_nats", _family_check),
+    ("DecorrelationCheck", "decorrelation_max", _decorrelation_check),
+)
 
 
 def validate(
@@ -398,16 +432,11 @@ def validate(
 
     observed maps (ParameterKind, class_kv) to ObservedClassStats; a class_kv
     key is the entry's class when it matches the entry's class_kv within the
-    voltage-class tolerance, as lookup() matches it. Per entry, every
-    check whose reference data exists runs: MedianCheck (relative median
-    deviation), BandCheck (absolute band-mass deviation), RangeCheck
-    (observed extremes inside the reference range expanded about its center
-    by range_factor), KlCheck (histogram vs fitted parameters), FamilyCheck
-    (line kinds with family but no parameters: the declared family must
-    rank first by KL or within the margin), and DecorrelationCheck
-    (|spearman| of own-base reactance vs rating, keyed by class in
-    transformer_decorrelation). Entries or pieces without observed data
-    yield skipped findings, which never fail the report.
+    voltage-class tolerance, as lookup() matches it, and so are the class
+    keys of transformer_decorrelation (spearman of own-base reactance vs
+    rating). Per entry, every check of _CHECKS that applies runs, in that
+    order; an entry without observed data gets one skipped CoverageCheck.
+    Skipped findings never fail the report.
     """
     _check_unique(profile)
     findings: list[Finding] = []
@@ -417,89 +446,22 @@ def validate(
             (o for (kind, kv), o in observed.items() if kind is entry.kind and same_class(kv)), None
         )
         if obs is None or obs.summary.n == 0:
-            findings.append(_skipped(entry, "CoverageCheck", "no observed data for this class"))
-            continue
-
-        ref = entry.summary
-        if ref is not None and ref.median is not None:
-            dev = abs(obs.summary.median / ref.median - 1.0)
-            findings.append(
-                _finding(
-                    entry, "MedianCheck", obs.summary.median, ref.median,
-                    f"median_rel={thresholds.median_rel:g}",
-                    dev <= thresholds.median_rel,
-                )
-            )
-
-        if entry.band is not None:
-            if obs.band_fraction is None:
-                findings.append(_skipped(entry, "BandCheck", "observed band fraction not computed"))
-            else:
-                diff = abs(obs.band_fraction - entry.band.fraction)
-                findings.append(
-                    _finding(
-                        entry, "BandCheck", obs.band_fraction, entry.band.fraction,
-                        f"band_abs={thresholds.band_abs:g}",
-                        diff <= thresholds.band_abs,
-                    )
-                )
-
-        if ref is not None and ref.min is not None and ref.max is not None:
-            center = 0.5 * (ref.min + ref.max)
-            half = 0.5 * (ref.max - ref.min) * thresholds.range_factor
-            lo, hi = center - half, center + half
-            findings.append(
-                _finding(
-                    entry, "RangeCheck",
-                    (obs.summary.min, obs.summary.max), (lo, hi),
-                    f"range_factor={thresholds.range_factor:g}",
-                    lo <= obs.summary.min and obs.summary.max <= hi,
-                )
-            )
-
-        if entry.fitted is not None:
-            if obs.hist is None:
-                findings.append(_skipped(entry, "KlCheck", "observed histogram not computed"))
-            else:
-                score = kl_divergence(obs.hist, entry.fitted)
-                findings.append(
-                    _finding(
-                        entry, "KlCheck", score.d_kl, thresholds.kl_max_nats,
-                        f"kl_max_nats={thresholds.kl_max_nats:g}",
-                        score.d_kl <= thresholds.kl_max_nats,
-                        note=f"over {score.bins_used} occupied bins",
-                    )
-                )
-        elif entry.kind in LINE_KINDS and entry.family is not None:
-            if obs.values is None or np.asarray(obs.values).size < 10:
-                findings.append(
-                    _skipped(entry, "FamilyCheck", "raw values unavailable or too few to rank fits")
-                )
-            elif obs.hist is None:
-                findings.append(_skipped(entry, "FamilyCheck", "observed histogram not computed"))
-            else:
-                findings.append(
-                    _check_family_rank(entry, obs, thresholds.family_rank_margin_nats)
-                )
-
-        if entry.kind is ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE:
-            rho = next(
-                (r for kv, r in (transformer_decorrelation or {}).items() if same_class(kv)), None
-            )
-            if rho is None:
-                findings.append(
-                    _skipped(entry, "DecorrelationCheck", "reactance-rating correlation not provided")
-                )
-            else:
-                bound = thresholds.decorrelation_max
-                findings.append(
-                    _finding(
-                        entry, "DecorrelationCheck", rho, (-bound, bound),
-                        f"decorrelation_max={bound:g}",
-                        abs(rho) <= bound,
-                        note="spearman(own-base reactance, rating)",
-                    )
-                )
+            outcomes = [("CoverageCheck", None, "no observed data for this class")]
+        else:
+            rho = next((r for kv, r in (transformer_decorrelation or {}).items() if same_class(kv)), None)
+            outcomes = [(name, field, check(entry, obs, getattr(thresholds, field), rho))
+                        for name, field, check in _CHECKS]
+        for name, field, outcome in outcomes:
+            if outcome is None:
+                continue
+            skipped = isinstance(outcome, str)
+            value, expected, passed, note = (None, None, None, outcome) if skipped else outcome
+            findings.append(Finding(
+                entry.kind, entry.class_kv, name, value, expected,
+                threshold="none" if skipped else f"{field}={getattr(thresholds, field):g}",
+                status="skipped" if skipped else "pass" if passed else "fail",
+                note=note,
+            ))
 
     overall = all(f.status != "fail" for f in findings)
     return ValidationReport(findings=tuple(findings), overall_pass=overall, thresholds=thresholds)

@@ -101,6 +101,25 @@ def test_iteration_budget_flags_nonconvergence(monkeypatch):
     assert res.message != ""
 
 
+def test_t_search_without_a_maximum_stops_at_the_budget():
+    # The t likelihood of this sample rises without bound as sigma -> 0 about
+    # 0.1116; the search follows it until the iteration budget ends it.
+    res = fit_mle("tls", sample(Tls(0.1, 0.02, 4.0), seed=37, n=4))
+    assert not res.converged
+    assert res.iterations == fitting._MAXITER
+    assert res.dist.sigma < 1e-10
+
+
+def test_gev_search_starts_inside_the_support_of_a_low_outlier():
+    # zeta = 0.1 would put the outlier below the start's support, where the
+    # penalty's zero gradient stops the search at once.
+    x = np.append(np.random.default_rng(0).gumbel(10.0, 2.0, 200), -200.0)
+    res = fit_mle("gev", x)
+    assert res.converged, res
+    assert 0 < res.iterations < fitting._MAXITER // 2
+    assert np.isfinite(res.log_likelihood)
+
+
 # ------------------------------------------------------------------ scores
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridparams.analysis import collect_samples, decorrelation_stats, observed_stats, spearman_own_by_class
-from gridparams.distributions import Exponential, Gev, Normal, sample
+from gridparams.distributions import Exponential, Gev, Normal, Tls, sample
 from gridparams.profiles import (
     DEFAULT_THRESHOLDS,
     EXPECTED_FAMILY,
@@ -377,6 +378,57 @@ def test_report_to_dict_shape():
     assert set(d) >= {"findings", "overall_pass", "thresholds"}
     for f in d["findings"]:
         assert f["status"] in {"pass", "fail", "skipped"}
+
+
+_GOLDEN = Path(__file__).parent / "data" / "validate_golden.json"
+
+
+def _golden_report():
+    """One profile and observed set that reach every finding path: coverage;
+    median, band, range, KL, family and decorrelation pass and fail; each
+    skip note; and a family that cannot represent the sample."""
+    own, mva, line_x, cap, xr = (
+        ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, ParameterKind.TRANSFORMER_MVA_RATING,
+        ParameterKind.LINE_REACTANCE_COMMON_BASE, ParameterKind.LINE_CAPACITY, ParameterKind.LINE_XR,
+    )
+    band = BandRef(lo=0.06, hi=0.19, fraction=0.85)
+    own_fit = Tls(0.13, 0.03, 4.0)
+    mva_fit = Gev(100.0, 40.0, 0.2)
+    profile = [
+        ReferenceEntry(own, 115.0, summary=_summary(), band=band, family="tls", fitted=own_fit),
+        ReferenceEntry(own, 138.0, summary=_summary(), band=band, family="tls", fitted=Tls(0.6, 0.01, 4.0)),
+        ReferenceEntry(own, 230.0, summary=_summary(), band=band, family="tls", fitted=own_fit),
+        ReferenceEntry(own, 345.0, summary=_summary(), band=band),
+        ReferenceEntry(mva, 115.0, summary=SummaryRef(median=110.0), family="gev", fitted=mva_fit),
+        ReferenceEntry(line_x, 115.0, family="exponential"),
+        ReferenceEntry(line_x, 138.0, summary=SummaryRef(median=0.01), family="exponential"),
+        ReferenceEntry(cap, 115.0, family="normal"),
+        ReferenceEntry(cap, 138.0, family="normal"),
+        ReferenceEntry(xr, 115.0, family="normal"),
+    ]
+    own_values = sample(own_fit, seed=5, n=400)
+    own_values = own_values[(own_values > 0.01) & (own_values < 0.9)]
+    far = np.linspace(0.5, 2.5, 60)
+    heavy = sample(Exponential(50.0), seed=8, n=500)
+    observed = {
+        (own, 115.0): _stats(own_values, band=band_fraction(own_values, band.lo, band.hi)),
+        (own, 138.0): _stats(far, band=0.1),
+        (own, 230.0): _stats(own_values, with_hist=False),
+        (mva, 115.0): _stats(sample(mva_fit, seed=6, n=2000)),
+        (line_x, 115.0): _stats(sample(Exponential(0.008686), seed=7, n=600)),
+        (line_x, 138.0): _stats(np.linspace(-0.01, 0.03, 40)),
+        (cap, 115.0): _stats(heavy),
+        (cap, 138.0): _stats([150.0, 170.0, 190.0, 210.0, 230.0]),
+        (xr, 115.0): _stats(np.linspace(4.0, 12.0, 30), with_hist=False),
+    }
+    return validate(observed, profile, transformer_decorrelation={115.0: 0.05, 138.0: -0.4})
+
+
+def test_validate_report_bytes_are_pinned():
+    report = _golden_report()
+    paths = {(f.check, f.status, f.note) for f in report.findings}
+    assert len(paths) == 20, sorted(paths)
+    assert serialize_report(report) == _GOLDEN.read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------- profile property
