@@ -16,8 +16,7 @@ import numpy as np
 from .ingest import (
     DEFAULT_CLASS_KVS,
     DEFAULT_RATING_BOUNDS,
-    BranchRecord,
-    RejectReason,
+    BranchTable,
     _transformer_masks,
     _voltage_class_index,
     filter_valid,
@@ -42,14 +41,16 @@ class CollectedSamples:
 
     values maps (ParameterKind, class_kv) to a 1-D array in record order.
     transformer_triples maps class_kv to (x_own, x_common, mva) arrays for
-    correlation analyses. suspect_counts tallies autotransformer suspects
-    included in the transformer samples.
+    correlation analyses. rejected and reasons are filter_valid's rejected
+    rows and reason codes. suspect_counts tallies autotransformer suspects
+    in the transformer samples.
     """
 
     values: dict[tuple[ParameterKind, float], np.ndarray]
     transformer_triples: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]
     kept: int
-    rejected: list[tuple[BranchRecord, RejectReason]]
+    rejected: BranchTable
+    reasons: np.ndarray
     unclassified: int
     suspect_counts: dict[float, int] = field(default_factory=dict)
 
@@ -120,6 +121,7 @@ def collect_samples(
         transformer_triples=triples,
         kept=len(table),
         rejected=outcome.rejected,
+        reasons=outcome.reasons,
         unclassified=int(np.count_nonzero(~classified)),
         suspect_counts={
             classes[flagged[j]].nominal_kv: int(n_flagged[j]) for j in np.argsort(first_flagged)

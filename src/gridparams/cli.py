@@ -24,7 +24,7 @@ from .analysis import (
     spearman_own_by_class,
 )
 from .fitting import fit_and_score, select_best
-from .ingest import decode_utf8, parse_branch_csv, parse_matpower_case
+from .ingest import RejectReason, decode_utf8, parse_branch_csv, parse_matpower_case
 from .ingest import serialize_branch_csv
 from .distributions import family_tag, to_json as dist_to_json
 from .profiles import (
@@ -208,7 +208,8 @@ def _cmd_analyze(args) -> int:
             k: v for k, v in dataclasses.asdict(d).items() if k != "class_kv"  # the section's key
         }
         entry["autotransformer_suspects"] = collected.suspect_counts.get(kv, 0)
-    rejected = Counter(reason.value for _, reason in collected.rejected)
+    names = [reason.value for reason in RejectReason]
+    rejected = Counter(names[code] for code in collected.reasons.tolist())
     filter_out = {"kept": collected.kept, "rejected": rejected, "unclassified": collected.unclassified}
     _report({"classes": classes, "filter": filter_out}, inputs, args.out)
     return 0

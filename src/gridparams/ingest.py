@@ -111,6 +111,7 @@ def is_transformer(kind: BranchKind) -> bool:
 
 
 class RejectReason(Enum):
+    """The cleaning rules in the order they apply; filter_valid codes a reason by its index."""
     NON_POSITIVE_R = "NonPositiveR"
     NON_POSITIVE_X = "NonPositiveX"
     ZERO_RATING = "ZeroRating"
@@ -167,14 +168,13 @@ class BranchTable(Sequence):
             **{name: [getattr(r, name) for r in records] for name in _COLUMNS},
         )
 
-    def take(self, rows) -> BranchTable:
-        """The rows selected by a boolean mask or an index array, in order."""
-        rows = np.asarray(rows)
-        if rows.dtype == bool:
-            ids = list(compress(self.ids, rows.tolist()))
-        else:
-            ids = [self.ids[i] for i in rows.tolist()]
-        return BranchTable(ids, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+    def take(self, mask) -> BranchTable:
+        """The rows where a boolean mask is true, in order."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise TypeError(f"take() needs a boolean mask, got dtype {mask.dtype}")
+        ids = list(compress(self.ids, mask.tolist()))
+        return BranchTable(ids, **{name: getattr(self, name)[mask] for name in _COLUMNS})
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -195,7 +195,8 @@ class BranchTable(Sequence):
 @dataclass(frozen=True)
 class FilterOutcome:
     kept: BranchTable
-    rejected: list[tuple[BranchRecord, RejectReason]]
+    rejected: BranchTable  # in input order, like kept
+    reasons: np.ndarray  # int8; rejected row i's reason is tuple(RejectReason)[reasons[i]]
 
 
 def decode_utf8(data: bytes) -> str:
@@ -459,7 +460,7 @@ def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
 
 
 def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None:
-    # Rule order is fixed; a record failing several rules reports the first.
+    # filter_valid's rules on one record, in RejectReason's order: the tested scalar reference.
     if r.r_pu <= 0:
         return RejectReason.NON_POSITIVE_R
     if r.x_pu <= 0:
@@ -491,18 +492,12 @@ def filter_valid(records, rating_bounds: tuple[float, float] = DEFAULT_RATING_BO
     table = records if isinstance(records, BranchTable) else BranchTable.from_records(records)
     mva = table.mva_rating
     finite = np.logical_and.reduce([np.isfinite(getattr(table, name)) for name in _FLOAT_FIELDS])
-    # np.select takes the first true condition, so the rule order is kept.
-    rules = (
-        (table.r_pu <= 0, RejectReason.NON_POSITIVE_R),
-        (table.x_pu <= 0, RejectReason.NON_POSITIVE_X),
-        (mva == 0, RejectReason.ZERO_RATING),
-        ((mva < lo) | (mva > hi), RejectReason.EXTREME_RATING),
-        (~finite, RejectReason.NON_FINITE),
-    )
-    codes = np.select([cond for cond, _ in rules], list(range(1, len(rules) + 1)), default=0)
-    rows = np.flatnonzero(codes)
-    reasons = [rules[code - 1][1] for code in codes[rows].tolist()]
-    return FilterOutcome(kept=table.take(codes == 0), rejected=list(zip(table.take(rows), reasons)))
+    # One condition per RejectReason, in its order; np.select takes the first
+    # true one, so a row's code is its first reason's index, or -1 if kept.
+    rules = [table.r_pu <= 0, table.x_pu <= 0, mva == 0, (mva < lo) | (mva > hi), ~finite]
+    codes = np.select(rules, range(len(rules)), default=-1).astype(np.int8)
+    rejected = codes >= 0
+    return FilterOutcome(table.take(~rejected), table.take(rejected), codes[rejected])
 
 
 def classify_branch(record: BranchRecord, autotransformer_xr_threshold: float = 4.0) -> BranchKind:

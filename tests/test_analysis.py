@@ -69,7 +69,8 @@ def test_collect_buckets_by_kind_and_class():
     out = collect_samples(records)
     assert out.kept == 5
     assert out.unclassified == 1
-    assert [reason for _, reason in out.rejected] == [RejectReason.NON_POSITIVE_X]
+    assert [r.id for r in out.rejected] == ["l3"]
+    assert [tuple(RejectReason)[code] for code in out.reasons] == [RejectReason.NON_POSITIVE_X]
 
     x_own = out.values[(ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, 115.0)]
     # own-base rebase: x_common * rating / system base
@@ -254,8 +255,11 @@ def test_columnar_collect_equals_record_loop(records, class_kvs, rating_bounds, 
                           autotransformer_xr_threshold=threshold)
     outcome = filter_valid(records, rating_bounds)
 
-    assert {r.id: reason for r, reason in out.rejected} == reasons
-    assert [repr(r) for r, _ in out.rejected] == [repr(r) for r in records if r.id in reasons]
+    assert out.reasons.dtype == np.int8
+    rows = zip(out.rejected, out.reasons, strict=True)
+    assert {r.id: tuple(RejectReason)[code] for r, code in rows} == reasons
+    assert [repr(r) for r in out.rejected] == [repr(r) for r in records if r.id in reasons]
+    assert len(out.rejected) + out.kept == len(records)
     assert [repr(r) for r in outcome.kept] == [repr(r) for r in records if r.id not in reasons]
     assert list(out.values) == list(values)
     for key, arr in values.items():

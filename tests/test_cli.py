@@ -625,6 +625,55 @@ def test_analyze_counts_rejections_by_reason_name(tmp_path):
     assert set(payload["filter"]["rejected"]) == {reason.value for reason in RejectReason}
 
 
+_ANALYZE_GOLDEN = Path(__file__).parent / "data" / "analyze_golden.json"
+
+
+def _planted_fleet() -> str:
+    """A branch CSV with classified transformers and lines, autotransformer
+    suspects, unclassified rows, and rows for every RejectReason, some of
+    which break several rules."""
+    rows = [f"t{i},{i},{100 + i},115,13.8,0.002,{0.03 + 0.004 * i!r},{40 + 15 * i},1.0,100" for i in range(12)]
+    rows += [f"h{i},{20 + i},{120 + i},230,115,0.001,{0.02 + 0.01 * i!r},{200 + 50 * i},0,100" for i in range(5)]
+    rows += [f"l{i},{40 + i},{60 + i},138,138,0.001,{0.008 + 0.0015 * i!r},{150 + 20 * i},0,100" for i in range(8)]
+    rows += [
+        "auto115,1,2,115,13.8,0.01,0.03,90,1.0,100",  # X/R 3: suspect
+        "auto230,3,4,230,138,0.02,0.05,300,1.0,100",  # X/R 2.5: suspect
+        "l345,5,6,345,345,0.001,0.01,400,0,100",  # no class
+        "t69,7,8,69,13.8,0.002,0.05,30,1.0,100",  # no class
+        "r0,1,2,115,13.8,0,0.04,60,1.0,100",
+        "rneg,1,2,115,13.8,-0.001,0.04,60,1.0,100",
+        "x0,1,2,115,13.8,0.002,0,60,1.0,100",
+        "xneg,1,2,115,13.8,0.002,-0.02,60,1.0,100",
+        "zero,1,2,115,13.8,0.002,0.04,0,1.0,100",
+        "small,1,2,115,13.8,0.002,0.04,0.5,1.0,100",
+        "big,1,2,115,13.8,0.002,0.04,5000,1.0,100",
+        "infmva,1,2,115,13.8,0.002,0.04,inf,1.0,100",
+        "nanmva,1,2,115,13.8,0.002,0.04,nan,1.0,100",
+        "nantap,1,2,115,13.8,0.002,0.04,60,nan,100",
+        "infbase,1,2,115,13.8,0.002,0.04,60,1.0,inf",
+        "all,1,2,nan,13.8,-1,-1,0,1.0,100",  # every rule but the rating bounds
+        "xbig,1,2,115,13.8,0.002,-0.01,5000,1.0,100",
+        "zeronan,1,2,115,13.8,0.002,0.04,0,nan,100",
+    ]
+    return ",".join(CSV_HEADER) + "\n" + "\n".join(rows) + "\n"
+
+
+def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # Relative paths: the report's meta block names each input by its path.
+    monkeypatch.chdir(tmp_path)
+    Path("planted.csv").write_text(_planted_fleet())
+    Path("case3.m").write_text(CASE3)
+    reports = {}
+    for name, flag in (("planted.csv", "--branches"), ("case3.m", "--case")):
+        assert run(["analyze", flag, name]) == 0
+        reports[name] = capsys.readouterr().out
+    planted = json.loads(reports["planted.csv"])
+    assert set(planted["filter"]["rejected"]) == {reason.value for reason in RejectReason}
+    assert planted["filter"]["unclassified"] == 2
+    assert [planted["classes"][kv]["autotransformer_suspects"] for kv in ("115", "230")] == [1, 1]
+    assert reports == json.loads(_ANALYZE_GOLDEN.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("command", ["analyze", "fit", "validate"])
 def test_every_json_report_carries_the_same_meta_block(tmp_path, command):
     import hashlib

@@ -151,7 +151,8 @@ def test_branch_table_reads_as_records():
     assert table[1] == recs[1] and table[-1] == recs[2]
     assert type(table[1].from_bus) is int and type(table[1].x_pu) is float
     assert list(table.take(np.array([False, True, True]))) == recs[1:]
-    assert list(table.take(np.array([2, 0]))) == [recs[2], recs[0]]
+    with pytest.raises(TypeError, match="boolean mask"):
+        table.take(np.array([2, 0]))
     assert table.from_bus.dtype == np.int64 and table.x_pu.dtype == np.float64
     with pytest.raises(IndexError):
         table[3]
@@ -617,7 +618,9 @@ def test_filter_reasons():
     ]
     out = filter_valid(records, rating_bounds=DEFAULT_RATING_BOUNDS)
     assert [r.id for r in out.kept] == ["ok"]
-    reasons = {rec.id: reason for rec, reason in out.rejected}
+    assert isinstance(out.rejected, BranchTable) and out.reasons.dtype == np.int8
+    rows = zip(out.rejected, out.reasons, strict=True)
+    reasons = {rec.id: tuple(RejectReason)[code] for rec, code in rows}
     assert reasons == {
         "bad_r": RejectReason.NON_POSITIVE_R,
         "bad_x": RejectReason.NON_POSITIVE_X,
@@ -628,16 +631,28 @@ def test_filter_reasons():
     assert len(out.kept) + len(out.rejected) == len(records)
 
 
+def test_reject_reasons_are_listed_in_rule_order():
+    # filter_valid codes a reason by its index in RejectReason.
+    assert [r.value for r in RejectReason] == [
+        "NonPositiveR", "NonPositiveX", "ZeroRating", "ExtremeRating", "NonFinite",
+    ]
+
+
+def _only_reason(out):
+    assert len(out.rejected) == 1 and out.reasons.shape == (1,)
+    return tuple(RejectReason)[out.reasons[0]]
+
+
 def test_filter_reason_precedence():
     # r and x both bad: the resistance rule fires first
     out = filter_valid([_rec(r_pu=-1.0, x_pu=-1.0)])
-    assert out.rejected[0][1] == RejectReason.NON_POSITIVE_R
+    assert _only_reason(out) == RejectReason.NON_POSITIVE_R
     # NaN rating falls through the comparisons to the finiteness rule
     out = filter_valid([_rec(mva_rating=math.nan)])
-    assert out.rejected[0][1] == RejectReason.NON_FINITE
+    assert _only_reason(out) == RejectReason.NON_FINITE
     # infinite rating is caught by the bound check, not the finiteness rule
     out = filter_valid([_rec(mva_rating=math.inf)])
-    assert out.rejected[0][1] == RejectReason.EXTREME_RATING
+    assert _only_reason(out) == RejectReason.EXTREME_RATING
 
 
 def test_filter_idempotent():
@@ -645,7 +660,7 @@ def test_filter_idempotent():
     once = filter_valid(records)
     twice = filter_valid(once.kept)
     assert list(twice.kept) == list(once.kept)
-    assert twice.rejected == []
+    assert len(twice.rejected) == 0 and twice.reasons.shape == (0,)
 
 
 def test_filter_rejects_bad_bounds():
