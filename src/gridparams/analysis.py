@@ -23,7 +23,7 @@ from .ingest import (
     voltage_class_table,
 )
 from .profiles import ObservedClassStats, ParameterKind, lookup
-from .stats import Binning, FreedmanDiaconis, band_fraction, histogram, pearson, spearman, summarize
+from .stats import Binning, FreedmanDiaconis, _average_ranks, band_fraction, histogram, pearson, summarize
 
 __all__ = [
     "CollectedSamples",
@@ -177,16 +177,15 @@ def decorrelation_stats(collected: CollectedSamples) -> dict[float, Decorrelatio
     are too small or constant (correlation undefined) are omitted."""
     out = {}
     for kv, (x_own, x_common, mva) in collected.transformer_triples.items():
-        if x_own.size < 2:
-            continue
-        try:
+        mva_ranks = _average_ranks(mva)  # shared by both Spearman values
+        try:  # each pearson of values runs first and rejects samples too small or not finite
             out[kv] = DecorrelationStats(
                 class_kv=kv,
                 n=int(x_own.size),
                 pearson_own=pearson(x_own, mva),
-                spearman_own=spearman(x_own, mva),
+                spearman_own=pearson(_average_ranks(x_own), mva_ranks),
                 pearson_common=pearson(x_common, mva),
-                spearman_common=spearman(x_common, mva),
+                spearman_common=pearson(_average_ranks(x_common), mva_ranks),
             )
         except ValueError:
             continue

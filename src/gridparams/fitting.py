@@ -1,14 +1,13 @@
 """Maximum-likelihood fitting of the four candidate families and
 histogram-based KL divergence scoring for ranking them.
 
-Exponential and normal fits are closed-form. The location-scale t and
-GEV families are fit by a small BFGS of this module's own on the
-closed-form score of the likelihood (Liu & Rubin 1995; Coles 2001,
-section 3.3), on transformed parameters (log scale for sigma and nu) so
-every search point is a valid distribution; points whose support
-excludes part of the sample get a large finite penalty instead of an
-infinite objective. A search that ends short of a stationary point is
-reported as not converged, at the point where it ended. The digamma
+Exponential and normal fits are closed-form. The location-scale t and GEV
+families are fit by a small BFGS of this module's own on one objective per
+family, which returns the negative log-likelihood and its gradient (the
+closed-form score of Liu & Rubin 1995 and Coles 2001, section 3.3) from one
+set of arrays. Scale and nu are searched on a log scale so every point is a
+valid distribution; points whose support excludes part of the sample get a
+large finite penalty instead of an infinite objective. The digamma
 difference in the t score and the cdfs that KL scoring integrates are the
 package's own (``distributions``), so fitting and scoring need only numpy.
 """
@@ -79,13 +78,6 @@ class KlScore:
 
 def _loglik(d: DistSpec, x: np.ndarray) -> float:
     return float(np.sum(log_pdf(d, x)))
-
-
-def _nll(d: DistSpec, x: np.ndarray) -> float:
-    ll = _loglik(d, x)
-    if not math.isfinite(ll):
-        return _PENALTY
-    return -ll
 
 
 def _clamp_zeta(zeta: float) -> float:
@@ -159,13 +151,13 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
     return theta, g, maxiter
 
 
-def _fit_scored(x, make, score, start, sigma0) -> FitResult:
+def _fit_scored(x, make, objective, start, sigma0) -> FitResult:
     """Maximum likelihood of make(mu, log sigma, shape), from start.
 
     BFGS runs on theta = ((mu - start[0]) / sigma0, log sigma, shape) with
-    the score as its gradient, and has converged when it ends at a score of
-    at most 1e-6 per value with a finite log-likelihood. Otherwise the point
-    where it ended is returned with converged=False and the reason.
+    objective(d, x), and has converged when it ends at a score of at most
+    1e-6 per value with a finite log-likelihood. Otherwise the point where
+    it ended is returned with converged=False and the reason.
     """
 
     def nll_and_gradient(theta):
@@ -173,8 +165,8 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
             d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
         except (OverflowError, ValueError):  # sigma or nu beyond float range
             return _PENALTY, np.zeros(3)
-        value = _nll(d, x)
-        return value, np.zeros(3) if value == _PENALTY else -score(d, x) * [sigma0, 1.0, 1.0]
+        value, gradient = objective(d, x)
+        return value, gradient * [sigma0, 1.0, 1.0]
 
     with np.errstate(all="ignore"):  # search points far from the optimum overflow
         # gtol scales with n: where the likelihood keeps rising toward nu = inf,
@@ -196,32 +188,44 @@ def _fit_scored(x, make, score, start, sigma0) -> FitResult:
     return FitResult(d, ll, x.size, converged=False, iterations=nit, message=message)
 
 
-def _tls_score(d: Tls, x: np.ndarray) -> np.ndarray:
-    """Gradient of the t log-likelihood in (mu, log sigma, log nu); the constant's
-    part is nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu)."""
-    constant = 0.5 * _tls_constants(d.nu)[1]
+def _tls_objective(d: Tls, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(-log-likelihood as log_pdf sums it, its gradient in (mu, log sigma, log nu)), or
+    (_PENALTY, zeros) where it is not finite. The score's constant part is
+    nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu)."""
+    log_f0, h = _tls_constants(d.nu)
     z = (x - d.mu) / d.sigma
-    wz = (d.nu + 1.0) * z / (d.nu + z * z)
-    return np.array([
-        np.sum(wz) / d.sigma,
-        np.sum(wz * z) - x.size,
-        x.size * constant + 0.5 * np.sum(wz * z - d.nu * np.log1p(z * z / d.nu)),
-    ])
+    zz = z * z
+    w = log_terms = np.log1p(zz / d.nu)
+    if np.isinf(w).any():  # zz/nu overflowed; the log is finite unless z is
+        log_terms = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
+    ll = float(np.sum(log_f0 - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * log_terms))
+    if not math.isfinite(ll):
+        return _PENALTY, np.zeros(3)
+    wz = (d.nu + 1.0) * z / (d.nu + zz)
+    wzz = wz * z
+    return -ll, -np.array([np.sum(wz) / d.sigma, np.sum(wzz) - x.size,
+                           x.size * (0.5 * h) + 0.5 * np.sum(wzz - d.nu * w)])
 
 
-def _gev_score(d: Gev, x: np.ndarray) -> np.ndarray:
-    """Gradient of the GEV log-likelihood in (mu, log sigma, zeta), for a
-    sample inside the support."""
-    z = (x - d.mu) / d.sigma
-    s = 1.0 + d.zeta * z
-    log_s = np.log1p(d.zeta * z)  # not log(s): zeta may be as small as _MIN_ZETA
+def _gev_objective(d: Gev, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(-log-likelihood as log_pdf sums it, its gradient in (mu, log sigma, zeta)), or
+    (_PENALTY, zeros) where it is not finite. The value rounds zeta*(x - mu)/sigma
+    as log_pdf does, the gradient zeta*((x - mu)/sigma) as the score always has."""
+    xm = x - d.mu
+    zz = d.zeta * xm / d.sigma
+    if not np.all(zz > -1.0):
+        return _PENALTY, np.zeros(3)
+    log_s = np.log1p(zz)
+    ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta)))
+    if not math.isfinite(ll):
+        return _PENALTY, np.zeros(3)
+    z = xm / d.sigma
+    s = 1.0 + (zeta_z := d.zeta * z)
+    log_s = np.log1p(zeta_z)  # not log(s): zeta may be as small as _MIN_ZETA
     t = np.exp(-log_s / d.zeta)
     a = (1.0 + d.zeta - t) / s
-    return np.array([
-        np.sum(a) / d.sigma,
-        np.sum(a * z) - x.size,
-        np.sum((1.0 - t) * (log_s / d.zeta - z / s) / d.zeta - z / s),
-    ])
+    return -ll, -np.array([np.sum(a) / d.sigma, np.sum(a * z) - x.size,
+                           np.sum((1.0 - t) * (log_s / d.zeta - (zs := z / s)) / d.zeta - zs)])
 
 
 def _fit_tls(x: np.ndarray) -> FitResult:
@@ -233,7 +237,7 @@ def _fit_tls(x: np.ndarray) -> FitResult:
         return Tls(mu=float(mu), sigma=math.exp(s), nu=math.exp(t))
 
     start = [float(np.median(x)), math.log(sigma0), math.log(5.0)]
-    res = _fit_scored(x, make, _tls_score, start, sigma0)
+    res = _fit_scored(x, make, _tls_objective, start, sigma0)
     # A small sample's likelihood can peak both at a heavy tail and toward the
     # normal limit nu = inf, with a saddle between that the search may cross
     # either way. Search the other side too when it may hold the higher peak.
@@ -243,7 +247,7 @@ def _fit_tls(x: np.ndarray) -> FitResult:
         other = _NORMAL_NU
     else:
         return res
-    alt = _fit_scored(x, make, _tls_score, [start[0], start[1], math.log(other)], sigma0)
+    alt = _fit_scored(x, make, _tls_objective, [start[0], start[1], math.log(other)], sigma0)
     return alt if alt.converged and alt.log_likelihood > res.log_likelihood else res
 
 
@@ -263,7 +267,14 @@ def _fit_gev(x: np.ndarray) -> FitResult:
     mu0 = float(np.mean(x)) - 0.5772 * sigma0
     gap = mu0 - float(np.min(x))
     start = [mu0, math.log(sigma0), 0.5 * sigma0 / gap if gap >= 10.0 * sigma0 else 0.1]
-    return _fit_scored(x, make, _gev_score, start, sigma0)
+    res = _fit_scored(x, make, _gev_objective, start, sigma0)
+    if res.converged:
+        return res
+    # A small sample's likelihood can peak at zeta > -1 beside the unbounded ridge
+    # below zeta = -1, and the search may head for either. From where it stopped
+    # short, search again with zeta set back to -0.5.
+    alt = _fit_scored(x, make, _gev_objective, [res.dist.mu, math.log(res.dist.sigma), -0.5], sigma0)
+    return alt if alt.converged else res
 
 
 def fit_mle(family: str, values) -> FitResult:
@@ -274,15 +285,10 @@ def fit_mle(family: str, values) -> FitResult:
     family); mere optimizer failure returns converged=False instead.
     """
     x = as_sample(values)
-    if family == "exponential":
-        return _fit_exponential(x)
-    if family == "normal":
-        return _fit_normal(x)
-    if family == "tls":
-        return _fit_tls(x)
-    if family == "gev":
-        return _fit_gev(x)
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    fit = {"exponential": _fit_exponential, "normal": _fit_normal, "tls": _fit_tls, "gev": _fit_gev}.get(family)
+    if fit is None:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    return fit(x)
 
 
 def kl_divergence(hist: Histogram, d: DistSpec) -> KlScore:
@@ -300,11 +306,7 @@ def kl_divergence(hist: Histogram, d: DistSpec) -> KlScore:
     d_kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     if d_kl < -1e-12:
         raise ArithmeticError(f"KL divergence evaluated to {d_kl}, below the rounding floor")
-    return KlScore(
-        d_kl=max(d_kl, 0.0),
-        bins_used=int(np.count_nonzero(mask)),
-        empty_bins_skipped=int(np.count_nonzero(~mask)),
-    )
+    return KlScore(max(d_kl, 0.0), int(np.count_nonzero(mask)), int(np.count_nonzero(~mask)))
 
 
 def select_best(scored) -> tuple[FitResult, KlScore]:

@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -214,8 +215,8 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
     The rows are read in one call to numpy's C text reader. Text that
     reader could split differently from csv.reader (a quote; a NUL, which
     csv.reader rejects before Python 3.11; a line longer than csv's field
-    size limit), and text it rejects, go through the row-wise reader
-    instead, which alone names a bad row's line and field.
+    size limit), and text it rejects or warns on, go through the row-wise
+    reader instead, which alone names a bad row's line and field.
     """
     text = decode_utf8(data) if isinstance(data, bytes) else data
     if text and '"' not in text and "\0" not in text:
@@ -225,7 +226,7 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
         if max(map(len, lines)) <= csv.field_size_limit():
             try:
                 return _read_columns(lines, header, index)
-            except (ValueError, OverflowError):
+            except (ValueError, Warning):
                 pass
         del lines
     reader = csv.reader(io.StringIO(text))
@@ -251,26 +252,22 @@ def _read_header(reader) -> tuple[list[str], dict[str, int]]:
 
 
 def _read_columns(lines: list[str], header: list[str], index: dict[str, int]) -> BranchTable:
-    """The rows below the header line, read by np.loadtxt; ValueError or
-    OverflowError for text the row-wise reader must judge.
+    """The rows below the header line, read by np.loadtxt; ValueError or a
+    Warning for text the row-wise reader must judge.
 
     csv.reader splits a line without quotes or NULs at every comma, as
-    numpy's reader does. Floats are parsed as float() parses them; bus
-    numbers are read as text and cast from object, which calls int(). So
-    both readers accept the same rows, with the same values.
+    numpy's reader does. Floats are parsed as float() parses them. numpy's
+    int64 parser reads a sign, ASCII digits and whitespace as int() does and
+    rejects the rest of what int() reads; before numpy 2.0 it warns on float
+    text such as "5.0". So both readers accept the same rows, with the same values.
     """
-    if not any(line.strip("\r") for line in lines[1:]):
-        # Blank lines only: csv.reader skips them, and loadtxt would warn.
-        return BranchTable([], **{name: [] for name in _COLUMNS})
-    used = {i: name for name, i in index.items()}
-    dtype = np.dtype(
-        [(f"f{i}", np.float64 if used.get(i) in _FLOAT_FIELDS else object) for i in range(len(header))]
-    )
-    rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    columns = {name: rows[f"f{index[name]}"].astype(np.int64) for name in _INT_FIELDS}
-    for name in _FLOAT_FIELDS:
-        columns[name] = rows[f"f{index[name]}"].copy()
-    return BranchTable([cell.strip() for cell in rows[f"f{index['id']}"].tolist()], **columns)
+    kinds = {index[name]: np.int64 if name in _INT_FIELDS else np.float64 for name in _COLUMNS}
+    dtype = np.dtype([(f"f{i}", kinds.get(i, object)) for i in range(len(header))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    columns = {name: rows[f"f{index[name]}"].copy() for name in _COLUMNS}
+    return BranchTable(list(map(str.strip, rows[f"f{index['id']}"].tolist())), **columns)
 
 
 def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:

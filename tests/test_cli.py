@@ -251,13 +251,17 @@ def test_fit_and_validate_load_no_scipy(tmp_path):
         assert len(scored) == 18 and all(f["converged"] for f in scored)
 
 
+# The X/R values of three 115 kV transformers, as the CI workflow writes them.
+_XR3 = ",".join(CSV_HEADER) + "\n" + "".join(
+    f"t{i + 1},{2 * i + 1},{2 * i + 2},115,13.8,1,{x},100,1,100\n"
+    for i, x in enumerate([13.877815272949906, 13.931529322237637, 10.874929036291789]))
+
+
 def test_fit_of_three_transformers_loads_no_scipy(tmp_path):
     # The X/R values of three 115 kV transformers: the GEV search stops where its
     # score is not finite, and reports the fit not converged.
     xr3 = tmp_path / "xr3.csv"
-    xr3.write_text(",".join(CSV_HEADER) + "\n" + "".join(
-        f"t{i},{2 * i + 1},{2 * i + 2},115,13.8,1,{x},100,1,100\n"
-        for i, x in enumerate([13.877815272949906, 13.931529322237637, 10.874929036291789])))
+    xr3.write_text(_XR3)
     argv = ["fit", "--branches", str(xr3), "--out", str(tmp_path / "xr3.json")]
     proc = _gridparams(
         "-c",
@@ -594,10 +598,7 @@ def test_validate_bins_sets_the_bins_of_the_family_check(tmp_path):
 def test_fit_prints_no_warning_on_three_transformers(tmp_path):
     # The GEV search on these three X/R values meets a non-finite score.
     branches = tmp_path / "xr3.csv"
-    branches.write_text(",".join(CSV_HEADER) + "\n" + "".join(
-        f"t{i},{2 * i + 1},{2 * i + 2},115,13.8,1,{xr},100,1,100\n"
-        for i, xr in enumerate([13.877815272949906, 13.931529322237637, 10.874929036291789])
-    ))
+    branches.write_text(_XR3)
     proc = _gridparams("-W", "error", "-m", "gridparams", "fit", "--branches", str(branches),
                        "--out", str(tmp_path / "fit.json"))
     assert proc.returncode == 0 and proc.stderr == ""
@@ -672,6 +673,22 @@ def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert planted["filter"]["unclassified"] == 2
     assert [planted["classes"][kv]["autotransformer_suspects"] for kv in ("115", "230")] == [1, 1]
     assert reports == json.loads(_ANALYZE_GOLDEN.read_text(encoding="utf-8"))
+
+
+_FIT_GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
+
+
+def test_fit_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # The planted fleet's classes hold 13, 8 and 6 transformers; on xr3.csv the
+    # GEV search stops at a non-finite score.
+    monkeypatch.chdir(tmp_path)
+    Path("planted.csv").write_text(_planted_fleet())
+    Path("xr3.csv").write_text(_XR3)
+    reports = {}
+    for name in ("planted.csv", "xr3.csv"):
+        assert run(["fit", "--branches", name]) == 0
+        reports[name] = capsys.readouterr().out
+    assert reports == json.loads(_FIT_GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("command", ["analyze", "fit", "validate"])

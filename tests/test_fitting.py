@@ -161,7 +161,7 @@ def test_tls_score_matches_central_differences(seed, n, log10_nu, shift, log_sca
         return fitting._loglik(Tls(sigma * t[0], math.exp(t[1]), math.exp(t[2])), x)
 
     d = Tls(sigma * theta[0], sigma, math.exp(theta[2]))
-    score = fitting._tls_score(d, x) * [sigma, 1.0, 1.0]
+    score = -fitting._tls_objective(d, x)[1] * [sigma, 1.0, 1.0]
     _assert_score(score, _central_differences(loglik, theta, [1e-5, 1e-5, 1e-4]), n)
 
 
@@ -191,8 +191,39 @@ def test_gev_score_matches_central_differences(seed, n, zeta, shift, log_scale):
     def loglik(t):
         return fitting._loglik(Gev(sigma * t[0], math.exp(t[1]), t[2]), x)
 
-    score = fitting._gev_score(Gev(sigma * theta[0], sigma, zeta), x) * [sigma, 1.0, 1.0]
+    score = -fitting._gev_objective(Gev(sigma * theta[0], sigma, zeta), x)[1] * [sigma, 1.0, 1.0]
     _assert_score(score, _central_differences(loglik, theta, steps), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30).map(np.array),
+    d=st.one_of(
+        st.builds(Tls, st.floats(-1e3, 1e3), st.floats(-700.0, 700.0).map(math.exp),
+                  st.floats(-50.0, 50.0).map(math.exp)),
+        st.builds(Gev, st.floats(-1e3, 1e3), st.floats(-30.0, 30.0).map(math.exp),
+                  st.floats(-3.0, 3.0).filter(lambda z: z != 0)),
+    ),
+)
+# z*z/nu overflows for both values; the log-likelihood is finite, the gradient is not.
+@example(x=np.array([0.0, 1.0]), d=Tls(0.5, 1e-200, 1.0))
+# z itself overflows for the first value.
+@example(x=np.array([1e6, 1.0]), d=Tls(0.0, 1e-305, 1.0))
+# Part of the sample below the support; then all of it inside.
+@example(x=np.array([-3.0, 0.0, 1.0]), d=Gev(0.0, 1.0, 0.5))
+@example(x=np.array([-1.5, 0.0, 1.0]), d=Gev(0.0, 1.0, 0.5))
+# Inside the support, where exp(-log(s)/zeta) overflows.
+@example(x=np.array([0.0, 1e6]), d=Gev(0.0, 1.0, -1e-3))
+def test_objectives_return_the_negative_log_likelihood(x, d):
+    objective = fitting._tls_objective if isinstance(d, Tls) else fitting._gev_objective
+    with np.errstate(all="ignore"):  # as in the fits, which run the objectives
+        value, gradient = objective(d, x)
+        ll = fitting._loglik(d, x)
+    assert gradient.shape == (3,)
+    if math.isfinite(ll):
+        assert value == -ll
+    else:
+        assert value == fitting._PENALTY and np.array_equal(gradient, np.zeros(3))
 
 
 # ------------------------------------------------------------------ solver
@@ -249,8 +280,8 @@ def test_bfgs_finishes_the_likelihood_fits(family, truth):
     x = sample(truth, seed=5, n=2000)
     res = fit_mle(family, x)
     assert res.converged and 0 < res.iterations < 50
-    score = {"tls": fitting._tls_score, "gev": fitting._gev_score}[family]
-    assert np.max(np.abs(score(res.dist, x) * [res.dist.sigma, 1.0, 1.0])) <= 1e-5 * x.size
+    objective = {"tls": fitting._tls_objective, "gev": fitting._gev_objective}[family]
+    assert np.max(np.abs(objective(res.dist, x)[1] * [res.dist.sigma, 1.0, 1.0])) <= 1e-5 * x.size
 
 
 def _scipy_bfgs(f, theta, gtol, maxiter):
@@ -275,6 +306,10 @@ def _scipy_bfgs(f, theta, gtol, maxiter):
 # Neither search converges here: both head below zeta = -1 and stop short of a
 # stationary point, at different points (log-likelihoods -18.20 and -21.53).
 @example(seed=0, n=10, truth=Gev(10.0, 2.0, -0.2))
+# From the GEV start, scipy's search heads for zeta = -1 and stops short at -0.988;
+# the package's reaches the regular peak at zeta = -0.842, which scipy's finds
+# too once the fit searches again from where it stopped.
+@example(seed=1252030, n=10, truth=Gev(10.0, 2.0, -0.2))
 def test_bfgs_agrees_with_scipy_bfgs(seed, n, truth):
     # The same fit, objective and acceptance rule, once with scipy's BFGS in
     # place of the package's own. A search that does not converge stops at a

@@ -271,8 +271,11 @@ def _kind(name):
 # Cells both readers accept.
 _VALID = {
     "id": st.text(alphabet="ab Z9-_.\u00e9", max_size=5),
+    # numpy reads bus numbers with its own integer parser: whitespace that
+    # str.strip() removes, a sign and leading zeros it must read as int() does.
     "bus": st.sampled_from(
-        ["1", " 2 ", "+3", "-4", "0", "\u20035", "9223372036854775807", "-9223372036854775808"]
+        ["1", " 2 ", "+3", "-4", "0", "\u20035", "9223372036854775807", "-9223372036854775808",
+         "\x0b5", "\x1c5", "5\x0c", "-0", "007"]
     ),
     "float": st.sampled_from(
         ["0.5", " 1e3 ", "-2", "nan", "-nan", "NaN", "Infinity", "-inf", "1e400", "1e-320", "+.5", "5.",
@@ -282,12 +285,13 @@ _VALID = {
 }
 # Cells that only the row-wise reader accepts ("_" in numbers, non-ASCII
 # digits), that the readers split differently (quotes, NUL, CR), and cells
-# that fail ("5.0" and values beyond int64 in bus columns, empty and
-# non-numeric text).
+# that fail ("5.0", "5.", "0x10", "+-5" and values beyond int64 in bus
+# columns, empty and non-numeric text).
 _TRICKY = {
     "id": st.sampled_from(['"q"', '"a,b"', 'x"', "\x00", "a\rb", ""]),
     "bus": st.sampled_from(
-        ["1_0", "\u0661\u0662", "5.0", "9223372036854775808", "-9223372036854775809", "", "x", '"7"', "1e3"]
+        ["1_0", "\u0661\u0662", "5.0", "9223372036854775808", "-9223372036854775809", "", "x", '"7"', "1e3",
+         "0x10", "+-5", "5."]
     ),
     "float": st.sampled_from(
         ["1_0.5", "\u0661\u0662", "", " ", "abc", "0x1", '"1"', "\x00", "1,5", "--1", "1e"]
@@ -345,6 +349,23 @@ def test_parse_branch_csv_reads_plain_text_without_the_row_wise_reader(monkeypat
     assert list(parse_branch_csv(text)) == expected
     with pytest.raises(AssertionError, match="row-wise"):
         parse_branch_csv(_PLAIN + GOOD_ROW.replace("t1", '"t1"') + "\n")
+
+
+def test_parse_branch_csv_reads_rows_that_numpy_warns_on_row_by_row(monkeypatch):
+    # numpy before 2.0 reads float text such as "5.0" in an integer column with
+    # a DeprecationWarning; such text is the row-wise reader's to judge.
+    text = _PLAIN + GOOD_ROW + "\n" + GOOD_ROW.replace("t1", "t2") + "\n"
+    expected = _outcome(_row_wise_branch_csv, text)
+    loadtxt, read_rows, used = np.loadtxt, ingest._read_rows, []
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    monkeypatch.setattr(ingest, "_read_rows", lambda *args: used.append(args) or read_rows(*args))
+    assert _outcome(parse_branch_csv, text) == expected
+    assert used
 
 
 def test_parse_branch_csv_field_longer_than_the_csv_limit():
