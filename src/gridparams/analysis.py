@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _require
 from .ingest import (
     DEFAULT_CLASS_KVS,
     DEFAULT_RATING_BOUNDS,
@@ -81,9 +82,7 @@ def collect_samples(
 
     bad_base = np.flatnonzero(transformer & classified & ~(table.system_mva_base > 0))
     if bad_base.size:
-        raise ValueError(
-            f"system_mva_base must be > 0, got {float(table.system_mva_base[bad_base[0]])}"
-        )
+        _require("system_mva_base", table.system_mva_base[bad_base[0]].item())
     # Lines may carry any finite base; their x_own is computed and unused.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xr = table.x_pu / table.r_pu

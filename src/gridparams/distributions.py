@@ -81,14 +81,9 @@ _AS241 = (
 
 
 def _require_valid(d, *positive: str) -> None:
-    """ValueError naming the first field of d that is not finite, else the first in positive not > 0."""
+    """ValueError naming the first field of d, in field order, that is not finite or, if in positive, not > 0."""
     for f in dataclasses.fields(d):
-        value = getattr(d, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-    for name in positive:
-        if getattr(d, name) <= 0:
-            raise ValueError(f"{name} must be > 0, got {getattr(d, name)}")
+        _require(f.name, getattr(d, f.name), "> 0" if f.name in positive else "")
 
 
 @dataclass(frozen=True)
@@ -444,6 +439,12 @@ def fields_from_json(cls, obj, what: str):
         return cls(**values)
     except TypeError as exc:  # a field without a default is missing
         raise ValueError(f"{what}: {exc}") from None
+
+
+def _require(name: str, value, bound: str = "> 0") -> None:
+    """ValueError naming name unless value is finite and meets bound: "> 0", ">= 0" or "" (none)."""
+    if not math.isfinite(value) or (bound == "> 0" and value <= 0) or (bound == ">= 0" and value < 0):
+        raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
 
 
 def number_from_json(value, what: str) -> float:

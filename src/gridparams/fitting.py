@@ -241,7 +241,8 @@ def _fit_tls(x: np.ndarray) -> FitResult:
     # A small sample's likelihood can peak both at a heavy tail and toward the
     # normal limit nu = inf, with a saddle between that the search may cross
     # either way. Search the other side too when it may hold the higher peak.
-    if res.dist.nu > _NORMAL_NU:
+    # Below nu = 1 two heavy-tail peaks can sit side by side: search from nu = 1.
+    if not 1.0 <= res.dist.nu <= _NORMAL_NU:
         other = 1.0
     elif _fit_normal(x).log_likelihood > res.log_likelihood:
         other = _NORMAL_NU

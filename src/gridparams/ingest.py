@@ -23,6 +23,8 @@ from itertools import compress, islice
 
 import numpy as np
 
+from .distributions import _require
+
 __all__ = [
     "ParseError",
     "BranchRecord",
@@ -127,8 +129,7 @@ class VoltageClass:
     nominal_kv: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.nominal_kv) and self.nominal_kv > 0):
-            raise ValueError(f"nominal_kv must be > 0, got {self.nominal_kv}")
+        _require("nominal_kv", self.nominal_kv)
 
     def matches(self, kv):
         """Whether kv (a float or an array of them) is in the class."""

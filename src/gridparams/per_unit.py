@@ -13,8 +13,9 @@ scalings, so no snapping or tolerancing is applied.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .distributions import _require
 
 __all__ = ["BaseSpec", "rebase_impedance", "to_own_base", "xr_ratio"]
 
@@ -27,16 +28,13 @@ class BaseSpec:
     s_base: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v_base) and self.v_base > 0):
-            raise ValueError(f"v_base must be finite and > 0, got {self.v_base}")
-        if not (math.isfinite(self.s_base) and self.s_base > 0):
-            raise ValueError(f"s_base must be finite and > 0, got {self.s_base}")
+        _require("v_base", self.v_base)
+        _require("s_base", self.s_base)
 
 
 def rebase_impedance(z_pu_given: float, given: BaseSpec, new: BaseSpec) -> float:
     """Re-express a per-unit impedance on a new (voltage, power) base."""
-    if not math.isfinite(z_pu_given):
-        raise ValueError(f"z_pu_given must be finite, got {z_pu_given}")
+    _require("z_pu_given", z_pu_given, "")
     return z_pu_given * (given.v_base / new.v_base) ** 2 * (new.s_base / given.s_base)
 
 
@@ -46,15 +44,12 @@ def to_own_base(x_pu_common: float, system_mva_base: float, mva_rating: float) -
     Assumes zone voltage bases equal nominal terminal voltages, so only the
     power-base term applies.
     """
-    if not (math.isfinite(system_mva_base) and system_mva_base > 0):
-        raise ValueError(f"system_mva_base must be > 0, got {system_mva_base}")
-    if not (math.isfinite(mva_rating) and mva_rating > 0):
-        raise ValueError(f"mva_rating must be > 0, got {mva_rating}")
+    _require("system_mva_base", system_mva_base)
+    _require("mva_rating", mva_rating)
     return x_pu_common * (mva_rating / system_mva_base)
 
 
 def xr_ratio(r_pu: float, x_pu: float) -> float:
     """X/R of a branch; invariant under any common base conversion."""
-    if not (math.isfinite(r_pu) and r_pu > 0):
-        raise ValueError(f"r_pu must be > 0, got {r_pu}")
+    _require("r_pu", r_pu)
     return x_pu / r_pu

@@ -27,6 +27,7 @@ import numpy as np
 from .distributions import (
     FAMILIES,
     DistSpec,
+    _require,
     family_tag,
     fields_from_json,
     from_json as dist_from_json,
@@ -103,8 +104,8 @@ class SummaryRef:
     def __post_init__(self):
         values = dataclasses.asdict(self)
         for name, v in values.items():
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"summary field {name} must be finite, got {v}")
+            if v is not None:
+                _require(f"summary {name}", v, "")
         if self.min is not None and self.max is not None and self.min > self.max:
             raise ValueError(f"summary min {self.min} exceeds max {self.max}")
         if self.q10 is not None and self.q90 is not None and self.q10 > self.q90:
@@ -146,8 +147,7 @@ class ReferenceEntry:
     reference_d_kl: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.class_kv) and self.class_kv > 0):
-            raise ValueError(f"class_kv must be > 0, got {self.class_kv}")
+        _require("class_kv", self.class_kv)
         if self.summary is None and self.band is None and self.family is None:
             raise ValueError("entry needs at least one of summary, band, family")
         median = None if self.summary is None else self.summary.median
@@ -175,8 +175,7 @@ class ReferenceEntry:
         if self.reference_d_kl is not None:
             if self.fitted is None:
                 raise ValueError("reference_d_kl is meaningless without fitted parameters")
-            if not (math.isfinite(self.reference_d_kl) and self.reference_d_kl >= 0):
-                raise ValueError(f"reference_d_kl must be >= 0, got {self.reference_d_kl}")
+            _require("reference_d_kl", self.reference_d_kl, ">= 0")
 
 
 def _check_unique(entries) -> None:
@@ -213,8 +212,9 @@ class ValidationThresholds:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ValueError(f"threshold {f.name} must be finite and >= 0, got {v}")
+            if not isinstance(v, (int, float)):
+                raise ValueError(f"threshold {f.name} must be a number, got {v!r}")
+            _require(f"threshold {f.name}", v, ">= 0")
         if self.range_factor < 1.0:
             raise ValueError(f"range_factor must be >= 1, got {self.range_factor}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Exponential, Normal, Tls, cdf, sample_stream
+from .distributions import DistSpec, Exponential, Normal, Tls, _require, cdf, sample_stream
 from .ingest import BranchKind, BranchTable
 from .profiles import ParameterKind, ReferenceEntry, lookup
 
@@ -106,7 +106,7 @@ class SyntheticTable(Sequence):
                 col = col[~line]
             bad = ~((col > 0) & (col < math.inf))
             if bad.any():
-                raise ValueError(f"{name} must be finite and > 0, got {col[bad][0]}")
+                _require(name, col[bad][0].item())
         x = np.where(line, self.x_pu_common, self.x_pu_own)
         r = np.where(line, self.r_pu_common, self.r_pu_own)
         bad = np.abs(x / r - self.xr) > 1e-9 * self.xr
@@ -152,8 +152,7 @@ class CalibratedTls:
     residual: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.residual) and self.residual >= 0):
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
+        _require("residual", self.residual, ">= 0")
 
 
 def _band_mass(d: Tls, lo: float, hi: float, truncate_to) -> float:
@@ -179,12 +178,8 @@ def calibrate_reactance_tls(
     """
     if not nu > 1:
         raise ValueError(f"nu must be > 1, got {nu}")
-    if target.summary is None or target.summary.median is None:
-        raise ValueError("calibration target needs a summary median")
-    if target.band is None:
-        raise ValueError("calibration target needs a band")
-    mu = target.summary.median
-    band = target.band
+    mu = _needs(target, target.summary and target.summary.median, "a summary median")
+    band = _needs(target, target.band, "a band")
     if not band.lo < mu < band.hi:
         raise ValueError(
             f"band [{band.lo}, {band.hi}] must contain the median {mu} "
@@ -258,19 +253,11 @@ def _require_entry(profile, kind: ParameterKind, class_kv: float) -> ReferenceEn
     return entry
 
 
-def _require_fitted(entry: ReferenceEntry) -> DistSpec:
-    if entry.fitted is None:
-        raise ValueError(
-            f"{entry.kind.value} at {entry.class_kv:g} kV has no fitted parameters; "
-            "supply a profile with fitted values for this entry"
-        )
-    return entry.fitted
-
-
-def _require_max(entry: ReferenceEntry) -> float:
-    if entry.summary is None or entry.summary.max is None:
-        raise ValueError(f"{entry.kind.value} at {entry.class_kv:g} kV needs a summary max")
-    return entry.summary.max
+def _needs(entry: ReferenceEntry, value, what: str):
+    """value, or ValueError naming entry and what it lacks if value is None."""
+    if value is None:
+        raise ValueError(f"{entry.kind.value} at {entry.class_kv:g} kV needs {what}")
+    return value
 
 
 def _sample_truncated(
@@ -323,21 +310,17 @@ def generate_transformers(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not system_mva_base > 0:
-        raise ValueError(f"system_mva_base must be > 0, got {system_mva_base}")
+    _require("system_mva_base", system_mva_base)
     x_entry = _require_entry(profile, ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, class_kv)
     mva_entry = _require_entry(profile, ParameterKind.TRANSFORMER_MVA_RATING, class_kv)
     xr_entry = _require_entry(profile, ParameterKind.TRANSFORMER_XR, class_kv)
 
-    mva_dist = _require_fitted(mva_entry)
-    xr_dist = _require_fitted(xr_entry)
-    if mva_entry.summary is None or mva_entry.summary.min is None:
-        raise ValueError(
-            f"{mva_entry.kind.value} at {class_kv:g} kV needs a summary range for truncation"
-        )
-    mva_lo, mva_hi = mva_entry.summary.min, _require_max(mva_entry)
-    x_max = _require_max(x_entry)
-    xr_max = _require_max(xr_entry)
+    mva_dist = _needs(mva_entry, mva_entry.fitted, "fitted parameters")
+    xr_dist = _needs(xr_entry, xr_entry.fitted, "fitted parameters")
+    mva_lo = _needs(mva_entry, mva_entry.summary and mva_entry.summary.min, "a summary min")
+    mva_hi = _needs(mva_entry, mva_entry.summary and mva_entry.summary.max, "a summary max")
+    x_max = _needs(x_entry, x_entry.summary and x_entry.summary.max, "a summary max")
+    xr_max = _needs(xr_entry, xr_entry.summary and xr_entry.summary.max, "a summary max")
 
     calibrated = calibrate_reactance_tls(x_entry, nu, truncate_to=(0.0, x_max))
 
@@ -369,8 +352,8 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTabl
     xr_entry = _require_entry(profile, ParameterKind.LINE_XR, class_kv)
 
     x_dist = x_entry.fitted if x_entry.fitted is not None else Exponential(DEFAULT_LINE_REACTANCE_MEAN)
-    cap_dist = _require_fitted(cap_entry)
-    xr_dist = _require_fitted(xr_entry)
+    cap_dist = _needs(cap_entry, cap_entry.fitted, "fitted parameters")
+    xr_dist = _needs(xr_entry, xr_entry.fitted, "fitted parameters")
 
     rng_x, rng_cap, rng_xr = _spawn_streams(seed, 3)
     # Inverse-transform exponential draws are already strictly positive.
@@ -410,12 +393,11 @@ def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13
     require. Row i (from 1) gets buses 2i - 1 and 2i and the id "T<class>-i"
     or "L<class>-i".
     """
-    if not system_mva_base > 0:
-        raise ValueError(f"system_mva_base must be > 0, got {system_mva_base}")
+    _require("system_mva_base", system_mva_base)
     table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
     xfmr = table.kind != _LINE
-    if lv_kv <= 0 and xfmr.any():
-        raise ValueError(f"lv_kv must be > 0, got {lv_kv}")
+    if xfmr.any():
+        _require("lv_kv", lv_kv)
     low = np.flatnonzero(xfmr & ~(lv_kv < table.class_kv))
     if low.size:
         raise ValueError(f"lv_kv {lv_kv} must be below class_kv {table.class_kv[low[0]]}")

@@ -719,6 +719,19 @@ def test_generate_branches_rejects_a_non_positive_low_side(lv_kv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "lv_kv" in err, err
 
 
+@pytest.mark.parametrize("kind", ["transformer", "line"])
+def test_generate_branches_rejects_an_infinite_base(tmp_path, kind):
+    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
+    profile = tmp_path / "lines.json"
+    profile.write_text(serialize_profile_json(
+        [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]))
+    out = tmp_path / "fleet.csv"
+    code, err = _run_quietly(["generate", "--class", "115", "--n", "5", "--seed", "1", "--kind", kind,
+                              "--emit", "branches", "--base", "inf", "--profile", str(profile), "--out", str(out)])
+    assert (code, err) == (1, "error: system_mva_base must be finite and > 0, got inf\n")
+    assert not out.exists()
+
+
 def test_generate_accepts_a_huge_nu():
     code, err = _run_quietly(["generate", "--class", "115", "--n", "5", "--seed", "1", "--nu", "1e308"])
     assert (code, err) == (0, "")

@@ -1,7 +1,10 @@
 """Closed-form identities, inverse consistency, and serialization of the
 four distribution families."""
 
+import dataclasses
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridparams import distributions
+from gridparams.analysis import collect_samples
 from gridparams.distributions import (
     FAMILIES,
     Exponential,
@@ -29,6 +33,16 @@ from gridparams.distributions import (
 )
 from gridparams.distributions import _NU_SERIES, _ndtri, _tls_constants
 from gridparams.fitting import _MIN_ZETA
+from gridparams.ingest import BranchKind, BranchRecord, VoltageClass
+from gridparams.per_unit import BaseSpec, rebase_impedance, to_own_base, xr_ratio
+from gridparams.profiles import ParameterKind, ReferenceEntry, SummaryRef, ValidationThresholds, builtin_profile
+from gridparams.sampler import (
+    CalibratedTls,
+    SyntheticBranchParams,
+    SyntheticTable,
+    generate_transformers,
+    params_to_branch_records,
+)
 
 
 # ---------------------------------------------------------------- parameters
@@ -57,6 +71,91 @@ def test_families_tuple():
 def test_invalid_parameters_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+# ------------------------------------------------- finite-and-positive inputs
+
+
+@functools.cache
+def _transformers():
+    return generate_transformers(115.0, 3, seed=5, profile=builtin_profile(), system_mva_base=100.0)
+
+
+def _table_with(name, v):
+    """A two-row SyntheticTable whose second row carries v in column name."""
+    good = dict(kind=BranchKind.TRANSFORMER, class_kv=115.0, mva_rating=60.0, x_pu_common=0.1,
+                r_pu_common=0.004, xr=25.0, x_pu_own=0.06, r_pu_own=0.0024)
+    return SyntheticTable.from_rows([SyntheticBranchParams(**good), SyntheticBranchParams(**{**good, name: v})])
+
+
+#: Every input that must be finite: (name in the message, bound, a call passing the value in).
+_RULES = [
+    ("mu", "", lambda v: Tls(v, 1.0, 3.0)),
+    ("sigma", "> 0", lambda v: Tls(0.0, v, 3.0)),
+    ("nu", "> 0", lambda v: Tls(0.0, 1.0, v)),
+    ("mu", "", lambda v: Gev(v, 1.0, 0.1)),
+    ("sigma", "> 0", lambda v: Gev(0.0, v, 0.1)),
+    ("zeta", "", lambda v: Gev(0.0, 1.0, v)),
+    ("mu", "> 0", lambda v: Exponential(v)),
+    ("mu", "", lambda v: Normal(v, 1.0)),
+    ("sigma", "> 0", lambda v: Normal(0.0, v)),
+    ("v_base", "> 0", lambda v: BaseSpec(v, 100.0)),
+    ("s_base", "> 0", lambda v: BaseSpec(115.0, v)),
+    ("z_pu_given", "", lambda v: rebase_impedance(v, BaseSpec(115.0, 100.0), BaseSpec(115.0, 50.0))),
+    ("system_mva_base", "> 0", lambda v: to_own_base(0.1, v, 60.0)),
+    ("mva_rating", "> 0", lambda v: to_own_base(0.1, 100.0, v)),
+    ("r_pu", "> 0", lambda v: xr_ratio(v, 0.1)),
+    ("nominal_kv", "> 0", lambda v: VoltageClass(v)),
+    *[(f"summary {f}", "", lambda v, f=f: SummaryRef(**{f: v})) for f in ("median", "mean", "min", "max", "q10", "q90")],
+    ("class_kv", "> 0", lambda v: ReferenceEntry(ParameterKind.LINE_XR, v, family="normal")),
+    ("reference_d_kl", ">= 0", lambda v: ReferenceEntry(
+        ParameterKind.LINE_XR, 115.0, family="normal", fitted=Normal(8.0, 3.0), reference_d_kl=v)),
+    *[(f"threshold {f.name}", ">= 0", lambda v, f=f: ValidationThresholds(**{f.name: v}))
+      for f in dataclasses.fields(ValidationThresholds)],
+    ("residual", ">= 0", lambda v: CalibratedTls(Tls(0.0, 1.0, 3.0), v)),
+    ("system_mva_base", "> 0",
+     lambda v: generate_transformers(115.0, 3, seed=5, profile=builtin_profile(), system_mva_base=v)),
+    ("system_mva_base", "> 0", lambda v: params_to_branch_records(_transformers(), v)),
+    ("lv_kv", "> 0", lambda v: params_to_branch_records(_transformers(), 100.0, lv_kv=v)),
+    *[(name, "> 0", lambda v, name=name: _table_with(name, v))
+      for name in ("class_kv", "mva_rating", "x_pu_common", "r_pu_common", "xr", "x_pu_own", "r_pu_own")],
+]
+
+
+@pytest.mark.parametrize("name, bound, call", _RULES, ids=[r[0] for r in _RULES])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_input_rule_rejects_non_finite_values(name, bound, call, value):
+    message = f"{name} must be finite"
+    if name.endswith("_own") and math.isnan(value):  # NaN marks an absent own-base value
+        message = "own-base x and r are given for transformers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, bound, call", [r for r in _RULES if r[1]], ids=[r[0] for r in _RULES if r[1]])
+def test_every_input_rule_applies_its_bound(name, bound, call):
+    rejected = (0.0, -1.0) if bound == "> 0" else (-1.0,)
+    for value in rejected:
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be finite and {bound}, got {value!r}"
+    if bound == ">= 0" and name != "threshold range_factor":  # range_factor also has a floor of 1
+        call(0.0)
+
+
+def test_a_distribution_names_its_first_bad_field():
+    with pytest.raises(ValueError, match="^sigma must be finite and > 0, got -1.0$"):
+        Tls(0.0, -1.0, math.nan)
+
+
+@pytest.mark.parametrize("base", [0.0, -100.0])
+def test_collect_checks_a_transformer_base_as_to_own_base_does(base):
+    record = BranchRecord("t1", 1, 2, 115.0, 13.8, 0.004, 0.1, 60.0, 1.0, base)
+    with pytest.raises(ValueError) as expected:
+        to_own_base(record.x_pu, base, record.mva_rating)
+    with pytest.raises(ValueError) as got:
+        collect_samples([record])
+    assert str(got.value) == str(expected.value) == f"system_mva_base must be finite and > 0, got {base!r}"
 
 
 def test_family_tags_and_param_counts():

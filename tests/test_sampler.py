@@ -301,10 +301,10 @@ def test_params_to_branch_records_lv_guard():
         params_to_branch_records(items, system_mva_base=100.0, lv_kv=115.0)
 
 
-@pytest.mark.parametrize("lv_kv", [-math.inf, 0.0, -5.0])
+@pytest.mark.parametrize("lv_kv", [-math.inf, 0.0, -5.0, math.nan])
 def test_params_to_branch_records_needs_a_positive_low_side(lv_kv):
     items = generate_transformers(115.0, 3, seed=5, profile=builtin_profile(), system_mva_base=100.0)
-    with pytest.raises(ValueError, match="lv_kv must be > 0"):
+    with pytest.raises(ValueError, match="lv_kv must be finite and > 0"):
         params_to_branch_records(items, system_mva_base=100.0, lv_kv=lv_kv)
     # Line rows have no low side, so a line-only table ignores lv_kv.
     lines = generate_lines(115.0, 3, seed=5, profile=_line_profile())
