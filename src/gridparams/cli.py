@@ -73,7 +73,6 @@ def _add_input_flags(sp: argparse.ArgumentParser) -> None:
     group.add_argument("--case", help="MATPOWER-style case file")
     group.add_argument("--branches", help="canonical branch CSV file")
     sp.add_argument("--classes", default="115,138,230", help="voltage classes, comma-separated kV")
-    sp.add_argument("--bins", default="fd", help="histogram binning: 'fd' or a bin count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(hist)
     hist.add_argument("--out", required=True, help="output directory")
 
+    for sp in (fit, val, hist):  # analyze reports no histogram
+        sp.add_argument("--bins", default="fd", help="histogram binning: 'fd' or a bin count")
     return parser
 
 
@@ -188,11 +189,9 @@ def _by_class(class_kvs, cell) -> dict:
     return {f"{kv:g}": {kind.value: cell(kind, kv) for kind in ParameterKind} for kv in class_kvs}
 
 
-def _cmd_analyze(args) -> int:
-    inputs: dict = {}
-    class_kvs, collected = _collect(args, inputs)
+def _cmd_analyze(args, inputs: dict, class_kvs, collected) -> int:
     profile = _load_profile(args.profile, inputs)
-    observed = observed_stats(collected, profile, binning=_binning(args.bins))
+    observed = observed_stats(collected, profile)
     decorr = decorrelation_stats(collected)
 
     def summary(kind, kv):
@@ -218,7 +217,7 @@ def _cmd_analyze(args) -> int:
 def _fit_cell(arr, binning):
     """fit's cell for one sample: "no data", "unfittable: ...", or the
     scored fits with the best family."""
-    if arr is None or arr.size == 0:
+    if arr is None:
         return "no data"
     try:
         scored = fit_and_score(arr, binning=binning)
@@ -235,18 +234,14 @@ def _fit_cell(arr, binning):
     return {"fits": fits, "best_family": family_tag(best.dist)}
 
 
-def _cmd_fit(args) -> int:
-    inputs: dict = {}
-    class_kvs, collected = _collect(args, inputs)
+def _cmd_fit(args, inputs: dict, class_kvs, collected) -> int:
     binning = _binning(args.bins)
     fits = _by_class(class_kvs, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), binning))
     _report({"fits": fits}, inputs, args.out)
     return 0
 
 
-def _cmd_validate(args) -> int:
-    inputs: dict = {}
-    class_kvs, collected = _collect(args, inputs)
+def _cmd_validate(args, inputs: dict, class_kvs, collected) -> int:
     profile = _load_profile(args.profile, inputs)
     thresholds = DEFAULT_THRESHOLDS
     if args.thresholds is not None:
@@ -277,8 +272,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_hist(args) -> int:
-    _, collected = _collect(args, {})
+def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
     binning = _binning(args.bins)
 
     out_dir = Path(args.out)
@@ -287,8 +281,6 @@ def _cmd_hist(args) -> int:
     for (kind, kv), arr in sorted(
         collected.values.items(), key=lambda item: (item[0][0].value, item[0][1])
     ):
-        if arr.size == 0:
-            continue
         try:
             hist = histogram(arr, binning)
         except ValueError:
@@ -300,13 +292,8 @@ def _cmd_hist(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "fit": _cmd_fit,
-    "validate": _cmd_validate,
-    "generate": _cmd_generate,
-    "hist": _cmd_hist,
-}
+# The commands that read a --case or --branches input: (args, input digests, class kVs, collected).
+_INGEST_COMMANDS = {"analyze": _cmd_analyze, "fit": _cmd_fit, "validate": _cmd_validate, "hist": _cmd_hist}
 
 
 def run(argv=None) -> int:
@@ -318,7 +305,10 @@ def run(argv=None) -> int:
         # validation failure, so usage errors map to 1 (0 stays 0).
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "generate":
+            return _cmd_generate(args)
+        inputs: dict = {}
+        return _INGEST_COMMANDS[args.command](args, inputs, *_collect(args, inputs))
     except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
         # ParseError and json.JSONDecodeError are ValueErrors.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -249,7 +249,8 @@ def _fit_tls(x: np.ndarray) -> FitResult:
     else:
         return res
     alt = _fit_scored(x, make, _tls_objective, [start[0], start[1], math.log(other)], sigma0)
-    return alt if alt.converged and alt.log_likelihood > res.log_likelihood else res
+    # As in _fit_gev, a converged search beats one that stopped short, even at 1 ulp lower.
+    return alt if alt.converged and (not res.converged or alt.log_likelihood > res.log_likelihood) else res
 
 
 def _fit_gev(x: np.ndarray) -> FitResult:

@@ -318,7 +318,9 @@ def serialize_branch_csv(records) -> str:
 
 
 def _strip_matlab_comments(text: str) -> str:
-    return "\n".join(line.split("%", 1)[0] for line in text.splitlines())
+    # Only \n, \r\n and \r end a line, as in an editor: not \f, \v, \x85 and
+    # the rest of what str.splitlines() breaks at. `.` matches all but \n.
+    return re.sub(r"%.*", "", text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _line_of(text: str, pos: int) -> int:

@@ -281,6 +281,8 @@ def _entry_from_dict(obj: dict) -> ReferenceEntry:
     if raw is not None:
         if not isinstance(raw, dict):
             raise ValueError(f"fitted must be a JSON object, got {raw!r}")
+        if unknown := sorted(set(raw) - {"family", "params"}):
+            raise ValueError(f"unknown fitted fields: {unknown}")
         family = raw.get("family")
         if raw.get("params") is not None:
             fitted = dist_from_json(raw)

@@ -105,6 +105,33 @@ def test_generate_rejects_bad_seed():
     assert run(["generate", "--class", "115", "--n", "0", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("flag, text", [("--seed", "abc"), ("--seed", "1.5"), ("--n", "1.5"), ("--n", "x")])
+def test_generate_rejects_non_integer_seed_or_count(flag, text):
+    argv = {"--class": "115", "--n": "5", "--seed": "1", flag: text}
+    code, err = _run_quietly(["generate", *(part for item in argv.items() for part in item)])
+    assert code == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert f"got {text!r}" in err
+
+
+def test_analyze_has_no_bins_option(tmp_path):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    code, err = _run_quietly(["analyze", "--case", str(case), "--bins", "5"])
+    assert code == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "unrecognized arguments: --bins 5" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "validate", "hist"])
+def test_fit_validate_and_hist_take_bins(tmp_path, command):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    code, err = _run_quietly([command, "--case", str(case), "--bins", "5", "--out", str(tmp_path / "out")])
+    assert code in ((0, 2) if command == "validate" else (0,))
+    assert err == ""
+
+
 def test_generate_line_needs_profile_params(tmp_path, capsys):
     code = run(
         ["generate", "--class", "115", "--n", "5", "--seed", "1", "--kind", "line"]
@@ -295,10 +322,10 @@ def test_validate_zero_reference_median_is_an_input_error(tmp_path):
 def test_arithmetic_errors_exit_1(monkeypatch, capsys):
     import gridparams.cli as cli
 
-    def divide(args):
+    def divide(args, inputs):
         return 1 / 0
 
-    monkeypatch.setitem(cli._COMMANDS, "analyze", divide)
+    monkeypatch.setattr(cli, "_collect", divide)
     assert run(["analyze", "--branches", "unused.csv"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -559,6 +586,30 @@ def test_fit_reports_unfittable_and_no_data_cells(tmp_path):
     assert payload["fits"]["138"] == {kind.value: "no data" for kind in ParameterKind}
 
 
+def test_fit_reports_a_sample_no_family_admits(tmp_path):
+    # At a system base of 1e308 the own-base reactances are 0 and 5e-324: their
+    # mean and standard deviation round to 0, so every family's fit raises.
+    branches = tmp_path / "tiny.csv"
+    branches.write_text(",".join(CSV_HEADER) + "\n"
+                        "t1,1,2,115,13.8,1e-30,1e-20,1,1,1e308\n"
+                        "t2,3,4,115,13.8,1e-30,3e-16,1.6,1,1e308\n")
+    code, payload = _json_report(tmp_path, ["fit", "--branches", str(branches)])
+    assert code == 0
+    cell = payload["fits"]["115"]["TransformerReactanceOwnBase"]
+    assert cell == "unfittable: no family admits this sample"
+
+
+def test_validate_rejects_unknown_fitted_fields(tmp_path):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps([{"kind": "TransformerXr", "class_kv": 115,
+                                    "fitted": {"family": "gev", "parms": {"mu": 1, "sigma": 1, "zeta": 0}}}]))
+    code, err = _run_quietly(["validate", "--case", str(case), "--profile", str(profile)])
+    assert code == 1
+    assert err == "error: unknown fitted fields: ['parms']\n"
+
+
 def test_validate_skips_the_family_check_of_a_constant_sample(tmp_path):
     # Twelve 115 kV lines, all rated 100 MVA: the capacity sample is constant.
     branches = tmp_path / "lines.csv"
@@ -796,7 +847,9 @@ def _argvs(draw, inputs: dict, out_dir: Path):
     else:
         flag = draw(st.sampled_from(sorted(inputs)))
         argv = [command, flag, inputs[flag]]
-        optional = [f"--classes={draw(_classes)}", f"--bins={draw(_bins)}"]
+        optional = [f"--classes={draw(_classes)}"]
+        if command != "analyze":  # analyze reports no histogram and takes no --bins
+            optional.append(f"--bins={draw(_bins)}")
         if command == "hist":
             argv.append(f"--out={out_dir / 'hist'}")
     return argv + [opt for opt in optional if draw(st.booleans())]

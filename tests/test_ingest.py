@@ -502,6 +502,24 @@ def test_matpower_unknown_bus_names_its_line():
     assert exc.value.line == 13
 
 
+# Characters that str.splitlines() breaks at but that end no line in a case file:
+# both readers take them as whitespace, as str.split() and np.loadtxt do.
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS)
+def test_matpower_lines_end_only_at_newlines(char, monkeypatch):
+    broken = f"% case{char}header\n{CASE3}".replace("\t2\t3\t0.002", "\t2\t9\t0.002")
+    with pytest.raises(ParseError, match="branch row 3: unknown bus 9") as exc:
+        parse_matpower_case(broken)
+    assert exc.value.line == 14
+    spaced = CASE3.replace("\t0.012\t", f"\t0.012{char}").replace("\t0.9;", f"\t0.9;{char}")
+    expected = _matpower_outcome(parse_matpower_case, CASE3)
+    assert _matpower_outcome(_row_wise_matpower, spaced) == expected
+    monkeypatch.setattr(ingest, "_read_matrix_rows", lambda *args: pytest.fail("row-wise reader used"))
+    assert _matpower_outcome(parse_matpower_case, spaced) == expected
+
+
 def test_matpower_duplicate_bus_takes_last_row():
     doubled = CASE3.replace(
         "];\nmpc.branch", "\t3\t1\t30\t5\t0\t0\t1\t1.0\t0\t34.5\t1\t1.1\t0.9;\n];\nmpc.branch"
@@ -533,7 +551,7 @@ _MP_BAD_BUS = ["9", "-4", "nan", "Inf", "1e19"]
 _MP_VALUE = ["0.01", "115", "-0.5", "+.5", "5.", "1e-320", "1e400", "Inf", "-Inf", "NaN", "inf", "nan"]
 _MP_ODD = ["1_0", "\u0661\u0662", "x", "1e", "0x1", "\x00", "0.5\x00", "[", "]"]
 _MP_SEPARATORS = [" ", "\t", ",", ", "]
-_MP_ODD_SEPARATORS = [" ,\t", "\u3000", "\x0c"]  # "\x0c" ends a line
+_MP_ODD_SEPARATORS = [" ,\t", "\u3000", "\x0c"]  # "\x0c" is whitespace, not a line end
 _MP_ROW_ENDS = [";\n"] * 4 + ["\n", ";", ";\r\n", "\r\n", ";\x0c", "; % note\n", ";;\n", ";,\n", ", ;\n"]
 
 

@@ -192,6 +192,19 @@ def test_parse_profile_requires_array():
         parse_profile_json(json.dumps({"kind": "LineCapacity"}))
 
 
+def test_unknown_fitted_fields_rejected():
+    # A misspelt "params" must not read as a family with no parameters.
+    entry = {"kind": "TransformerMvaRating", "class_kv": 115.0,
+             "fitted": {"family": "gev", "parms": {"mu": 100.0, "sigma": 40.0, "zeta": 0.1}}}
+    with pytest.raises(ValueError, match=r"unknown fitted fields: \['parms'\]"):
+        parse_profile_json(json.dumps([entry]))
+    entry["fitted"] = {"family": "gev", "params": {"mu": 100.0, "sigma": 40.0, "zeta": 0.1}}
+    entry["note"] = "unknown keys at the top level of an entry are ignored"
+    assert parse_profile_json(json.dumps([entry]))[0].fitted == Gev(100.0, 40.0, 0.1)
+    bench_profile = Path(__file__).resolve().parents[1] / "bench" / "reference_profile.json"
+    assert parse_profile_json(bench_profile.read_text(encoding="utf-8"))
+
+
 def test_builtin_expected_families():
     profile = builtin_profile()
     for e in profile:

@@ -207,6 +207,11 @@ def test_generate_lines_needs_fitted_params():
         generate_lines(115.0, 10, seed=0, profile=builtin_profile())
 
 
+def test_generate_lines_rejects_bad_n():
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        generate_lines(115.0, 0, seed=0, profile=_line_profile())
+
+
 def test_generate_lines_invariants():
     items = generate_lines(115.0, 300, seed=7, profile=_line_profile())
     assert len(items) == 300
