@@ -42,6 +42,13 @@ mpc.branch = [
 """
 
 
+def _lines_profile_json() -> str:
+    """The builtin profile with fitted line capacity and X/R, which generate --kind line needs."""
+    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
+    return serialize_profile_json(
+        [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()])
+
+
 def _generate_branches(tmp_path, n=800):
     """One synthetic fleet across all three classes, as a branch CSV."""
     paths = []
@@ -220,10 +227,8 @@ def test_analyze_and_hist_load_no_scipy(tmp_path):
 
 def test_generate_loads_no_scipy(tmp_path):
     # The t and normal quantiles that generate samples through are the package's own.
-    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
     profile = tmp_path / "lines.json"
-    profile.write_text(serialize_profile_json(
-        [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]))
+    profile.write_text(_lines_profile_json())
     argvs = [["generate", "--class", "115", "--n", "500", "--seed", "1", "--kind", kind, "--emit", emit,
               "--profile", str(profile), "--out", str(tmp_path / f"{kind}-{emit}.csv")]
              for kind in ("transformer", "line") for emit in ("params", "branches")]
@@ -742,6 +747,39 @@ def test_fit_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert reports == json.loads(_FIT_GOLDEN.read_text(encoding="utf-8"))
 
 
+_GENERATE_HIST_GOLDEN = Path(__file__).parent / "data" / "generate_hist_golden.json"
+
+
+def _generate_and_hist_outputs(capsys) -> dict:
+    """The text that generate and hist write in the working directory, by
+    file name, and hist's stdout: both kinds with both --emit forms, and the
+    planted fleet's histograms with Freedman-Diaconis and fixed-count bins."""
+    Path("lines.json").write_text(_lines_profile_json())
+    Path("planted.csv").write_text(_planted_fleet())
+    outputs = {}
+    for kind in ("transformer", "line"):
+        for emit in ("params", "branches"):
+            name = f"{kind}-{emit}.csv"
+            argv = ["generate", "--class", "138", "--n", "25", "--seed", "7", "--kind", kind,
+                    "--emit", emit, "--profile", "lines.json", "--out", name]
+            assert run(argv) == 0
+            outputs[name] = Path(name).read_text(encoding="utf-8")
+    for bins in ("fd", "7"):
+        out_dir = f"hist-{bins}"
+        assert run(["hist", "--branches", "planted.csv", "--bins", bins, "--out", out_dir]) == 0
+        outputs[f"{out_dir} stdout"] = capsys.readouterr().out
+        for path in sorted(Path(out_dir).iterdir()):
+            outputs[f"{out_dir}/{path.name}"] = path.read_text(encoding="utf-8")
+    return outputs
+
+
+def test_generate_and_hist_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = _generate_and_hist_outputs(capsys)
+    assert len([name for name in outputs if name.startswith("hist-fd/")]) == 9
+    assert outputs == json.loads(_GENERATE_HIST_GOLDEN.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("command", ["analyze", "fit", "validate"])
 def test_every_json_report_carries_the_same_meta_block(tmp_path, command):
     import hashlib
@@ -772,10 +810,8 @@ def test_generate_branches_rejects_a_non_positive_low_side(lv_kv):
 
 @pytest.mark.parametrize("kind", ["transformer", "line"])
 def test_generate_branches_rejects_an_infinite_base(tmp_path, kind):
-    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
     profile = tmp_path / "lines.json"
-    profile.write_text(serialize_profile_json(
-        [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]))
+    profile.write_text(_lines_profile_json())
     out = tmp_path / "fleet.csv"
     code, err = _run_quietly(["generate", "--class", "115", "--n", "5", "--seed", "1", "--kind", kind,
                               "--emit", "branches", "--base", "inf", "--profile", str(profile), "--out", str(out)])
@@ -812,9 +848,7 @@ def argv_inputs(tmp_path_factory):
     parameters, shared by the argv property."""
     tmp = tmp_path_factory.mktemp("argv")
     (tmp / "case3.m").write_text(CASE3)
-    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
-    profile = [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]
-    (tmp / "lines.json").write_text(serialize_profile_json(profile))
+    (tmp / "lines.json").write_text(_lines_profile_json())
     inputs = {"--case": str(tmp / "case3.m"), "--branches": str(_generate_branches(tmp, n=20))}
     return inputs, tmp
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import rankdata
@@ -9,6 +9,7 @@ from gridparams.stats import (
     _average_ranks,
     FixedCount,
     FreedmanDiaconis,
+    Histogram,
     band_fraction,
     histogram,
     histogram_csv,
@@ -130,6 +131,38 @@ def test_histogram_csv_format():
     assert lines[1].split(",")[2] == "2"
     assert "np." not in text
     assert text.endswith("\n")
+
+
+def _reference_histogram_csv(hist: Histogram) -> str:
+    """histogram_csv written one bin at a time."""
+    lines = ["bin_lo,bin_hi,count,density"]
+    for lo, hi, c, d in zip(hist.edges[:-1], hist.edges[1:], hist.counts, hist.densities):
+        lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)},{float(d)!r}")
+    return "\n".join(lines) + "\n"
+
+
+# Edges whose text is easy to get wrong: signed zero, subnormals, the
+# smallest normal, 1e16 (where repr switches to exponent form), 0.1 + 0.2.
+_edges = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, -1e16, 0.1 + 0.2]),
+)
+
+
+@given(st.lists(st.tuples(_edges, st.integers(0, 2**62), st.floats(min_value=0.0)), max_size=40), _edges)
+def test_histogram_csv_matches_the_bin_loop(bins, first_edge):
+    edges = np.array([first_edge, *(lo for lo, _, _ in bins)])
+    counts = np.array([c for _, c, _ in bins], dtype=np.int64)
+    densities = np.array([d for _, _, d in bins], dtype=float)
+    hist = Histogram(edges=edges, densities=densities, counts=counts)
+    assert histogram_csv(hist) == _reference_histogram_csv(hist)
+
+
+@given(st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 3e-308, 1.0, 1e16]), min_size=2, max_size=30), st.integers(2, 12))
+def test_histogram_csv_of_subnormal_and_huge_samples_matches_the_bin_loop(values, k):
+    assume(min(values) < max(values))
+    hist = histogram(values, FixedCount(k))
+    assert histogram_csv(hist) == _reference_histogram_csv(hist)
 
 
 def test_pearson_perfect_linear():
