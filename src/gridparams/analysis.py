@@ -57,7 +57,7 @@ class CollectedSamples:
 
 
 def collect_samples(
-    records,
+    table: BranchTable,
     class_kvs=DEFAULT_CLASS_KVS,
     *,
     rating_bounds=DEFAULT_RATING_BOUNDS,
@@ -69,12 +69,11 @@ def collect_samples(
     rating, and X/R; lines contribute common-base reactance, capacity, and
     X/R. Records matching no voltage class are counted, not errors.
 
-    Takes a BranchTable or any iterable of BranchRecord and works on whole
-    columns. Each sample keeps record order, and dict keys appear in the
-    order of the first record that fills them.
+    Works on whole columns. Each sample keeps record order, and dict keys
+    appear in the order of the first record that fills them.
     """
     classes = voltage_class_table(class_kvs)
-    outcome = filter_valid(records, rating_bounds)
+    outcome = filter_valid(table, rating_bounds)
     table = outcome.kept
     transformer, suspect = _transformer_masks(table, autotransformer_xr_threshold)
     cls = _voltage_class_index(table, transformer, classes)
@@ -156,14 +155,13 @@ def observed_stats(
 
 @dataclass(frozen=True)
 class DecorrelationStats:
-    """Correlation of transformer reactance with rating, on both bases.
+    """Correlation of transformer reactance with rating, on both bases, in one voltage class.
 
     Own-base reactance should be nearly uncorrelated with rating; the
     common-base values anticorrelate because the base conversion divides
     by the rating.
     """
 
-    class_kv: float
     n: int
     pearson_own: float
     spearman_own: float
@@ -179,7 +177,6 @@ def decorrelation_stats(collected: CollectedSamples) -> dict[float, Decorrelatio
         mva_ranks = _average_ranks(mva)  # shared by both Spearman values
         try:  # each pearson of values runs first and rejects samples too small or not finite
             out[kv] = DecorrelationStats(
-                class_kv=kv,
                 n=int(x_own.size),
                 pearson_own=pearson(x_own, mva),
                 spearman_own=pearson(_average_ranks(x_own), mva_ranks),

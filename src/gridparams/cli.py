@@ -203,9 +203,7 @@ def _cmd_analyze(args, inputs: dict, class_kvs, collected) -> int:
     classes = _by_class(class_kvs, summary)
     for kv in class_kvs:
         entry, d = classes[f"{kv:g}"], decorr.get(kv)
-        entry["decorrelation"] = "no data" if d is None else {
-            k: v for k, v in dataclasses.asdict(d).items() if k != "class_kv"  # the section's key
-        }
+        entry["decorrelation"] = "no data" if d is None else dataclasses.asdict(d)
         entry["autotransformer_suspects"] = collected.suspect_counts.get(kv, 0)
     names = [reason.value for reason in RejectReason]
     rejected = Counter(names[code] for code in collected.reasons.tolist())
@@ -259,15 +257,13 @@ def _cmd_validate(args, inputs: dict, class_kvs, collected) -> int:
 def _cmd_generate(args) -> int:
     profile = _load_profile(args.profile, {})
     if args.kind == "transformer":
-        items = generate_transformers(
-            args.class_kv, args.n, args.seed, profile, args.base, nu=args.nu
-        )
+        table = generate_transformers(args.class_kv, args.n, args.seed, profile, args.base, nu=args.nu)
     else:
-        items = generate_lines(args.class_kv, args.n, args.seed, profile)
+        table = generate_lines(args.class_kv, args.n, args.seed, profile)
     if args.emit == "params":
-        text = params_csv(items)
+        text = params_csv(table)
     else:
-        text = serialize_branch_csv(params_to_branch_records(items, args.base, lv_kv=args.lv_kv))
+        text = serialize_branch_csv(params_to_branch_records(table, args.base, lv_kv=args.lv_kv))
     _write_text(text, args.out)
     return 0
 

@@ -55,6 +55,7 @@ _NU_SERIES = 100.0
 
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 _erf, _erfc = np.vectorize(math.erf, otypes=[float]), np.vectorize(math.erfc, otypes=[float])
 
 #: Cap on the terms of the t cdf's continued fractions; the slowest input found takes 134.
@@ -354,16 +355,23 @@ def _tls_lower_quantile(nu: float, s: np.ndarray) -> np.ndarray:
     nu < 1, Hill's up to nu = 1e20 and the normal quantile above; the second bound is exact where
     nu/t**2 is subnormal. Second-order steps solve h = log(tail/s) = 0 in u = log|t| (h concave,
     h' = -r, r = f|t|/tail, h''/h' = 1 + r - (nu+1)/(1 + nu/t**2)) until a step of 1e-6 (whose error
-    is near 1e-18: the steps converge cubically) or a miss within rounding; ArithmeticError past the cap."""
+    is near 1e-18: the steps converge cubically) or a miss within rounding; ArithmeticError past the cap,
+    or where rounding leaves a NaN or a 0. Below nu = 1e-12 the second bound is -inf where s < cdf(-DBL_MAX):
+    there cdf(t) >= C |t|**-nu (1 + nu/t**2)**(-(nu+1)/2), and a relative margin of 1e-9 covers the O(nu**2)
+    of log 2C = nu (log(nu)/2 - log 2) + O(nu**2)."""
     log_s, log_f0 = np.log(s), _tls_constants(nu)[0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
         power = -np.exp((0.5 - 0.5 / nu) * math.log(nu) + (log_f0 - log_s) / nu)  # C overflows at huge nu
+        if nu < 1e-12:
+            power[-np.log(2.0 * s) > nu * (_LOG_MAX + math.log(2.0) - 0.5 * math.log(nu)) * (1.0 + 1e-9)] = -np.inf
         start = (s - 0.5) / math.exp(log_f0) if nu < 1 else _hill_start(nu, s) if nu <= 1e20 else _ndtri(s)
         exact = (nu / (power * power) < _TINY) & (s < 0.5)
         t = np.where(exact, power, np.fmax(start, power))
         todo = np.flatnonzero(~exact & (t != 0.0))
         for _ in range(_QUANTILE_STEPS):
             if todo.size == 0:
+                if not np.all(t[s < 0.5] < 0.0):  # a NaN, or a 0 that rounding left
+                    raise ArithmeticError(f"t quantile at nu = {nu!r} is lost to rounding")
                 return t
             tk, sk, log_sk = t[todo], s[todo], log_s[todo]
             tail, log_tail = _tls_tail(nu, tk)

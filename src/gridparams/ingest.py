@@ -308,13 +308,17 @@ def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
     return BranchTable(ids, **columns)
 
 
-def serialize_branch_csv(records) -> str:
-    """Inverse of parse_branch_csv; floats use shortest round-trip repr.
-    Takes a BranchTable or any iterable of BranchRecord."""
-    table = records if isinstance(records, BranchTable) else BranchTable.from_records(records)
+def _csv_text(header, columns) -> str:
+    """The header line, then a line per row of the columns of cells (iterables of str), each
+    ending in a line feed. Writers give floats as repr(), the shortest round-trip text."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+def serialize_branch_csv(table: BranchTable) -> str:
+    """Inverse of parse_branch_csv."""
     columns = [getattr(table, name).tolist() for name in _COLUMNS]
     cells = [table.ids, *(map(str, c) for c in columns[:2]), *(map(repr, c) for c in columns[2:])]
-    return "\n".join([",".join(CSV_HEADER), *map(",".join, zip(*cells))]) + "\n"
+    return _csv_text(CSV_HEADER, cells)
 
 
 def _strip_matlab_comments(text: str) -> str:
@@ -477,19 +481,14 @@ def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None
     return None
 
 
-def filter_valid(records, rating_bounds: tuple[float, float] = DEFAULT_RATING_BOUNDS) -> FilterOutcome:
-    """Drop abnormal branch rows: R <= 0, X <= 0, zero or extreme MVA
-    ratings, and non-finite fields. Rejection is data, not an error.
-
-    Takes a BranchTable or any iterable of BranchRecord; the rules are
-    those of _reject_reason, applied to whole columns.
-    """
+def filter_valid(table: BranchTable, rating_bounds: tuple[float, float] = DEFAULT_RATING_BOUNDS) -> FilterOutcome:
+    """Drop abnormal branch rows: R <= 0, X <= 0, zero or extreme MVA ratings, and non-finite
+    fields, by the rules of _reject_reason applied to whole columns. Rejection is data, not an error."""
     lo, hi = rating_bounds
     if not lo > 0:
         raise ValueError(f"rating_bounds minimum must be > 0, got {lo}")
     if not hi > lo:
         raise ValueError(f"rating_bounds must satisfy min < max, got {rating_bounds}")
-    table = records if isinstance(records, BranchTable) else BranchTable.from_records(records)
     mva = table.mva_rating
     finite = np.logical_and.reduce([np.isfinite(getattr(table, name)) for name in _FLOAT_FIELDS])
     # One condition per RejectReason, in its order; np.select takes the first

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Exponential, Normal, Tls, _require, cdf, sample_stream
-from .ingest import BranchKind, BranchTable
+from .distributions import DistSpec, Exponential, Tls, _require, cdf, sample_stream
+from .ingest import BranchKind, BranchTable, _csv_text
 from .profiles import ParameterKind, ReferenceEntry, lookup
 
 __all__ = [
@@ -372,18 +372,17 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTabl
 PARAMS_CSV_HEADER = "kind,class_kv,mva_rating,x_pu_own,r_pu_own,x_pu_common,r_pu_common,xr"
 
 
-def params_csv(items) -> str:
-    """Plot-ready CSV of SyntheticBranchParams rows; own-base cells are empty for lines."""
-    table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
+def params_csv(table: SyntheticTable) -> str:
+    """Plot-ready CSV of generated branches; own-base cells are empty for lines."""
+    header = PARAMS_CSV_HEADER.split(",")
     kinds = np.array([k.value for k in _KINDS])[table.kind].tolist()
-    columns = (map(repr, getattr(table, name).tolist()) for name in PARAMS_CSV_HEADER.split(",")[1:])
-    text = "\n".join([PARAMS_CSV_HEADER, *map(",".join, zip(kinds, *columns))]) + "\n"
+    text = _csv_text(header, [kinds, *(map(repr, getattr(table, name).tolist()) for name in header[1:])])
     # Own-base x and r are adjacent columns, NaN together on exactly the line
     # rows, and no other cell can be NaN: blank those cells in one pass.
     return text.replace(",nan,nan,", ",,,")
 
 
-def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13.8) -> BranchTable:
+def params_to_branch_records(table: SyntheticTable, system_mva_base: float, *, lv_kv: float = 13.8) -> BranchTable:
     """Wrap generated parameters as branch records on fresh buses, so a
     generated population can round-trip through the analysis pipeline.
 
@@ -394,7 +393,6 @@ def params_to_branch_records(items, system_mva_base: float, *, lv_kv: float = 13
     or "L<class>-i".
     """
     _require("system_mva_base", system_mva_base)
-    table = items if isinstance(items, SyntheticTable) else SyntheticTable.from_rows(items)
     xfmr = table.kind != _LINE
     if xfmr.any():
         _require("lv_kv", lv_kv)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import _csv_text
+
 __all__ = [
     "SummaryStats",
     "Histogram",
@@ -137,10 +139,9 @@ def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:
 
 def histogram_csv(hist: Histogram) -> str:
     """CSV rows `bin_lo,bin_hi,count,density` for external plotting."""
-    lines = ["bin_lo,bin_hi,count,density"]
-    for lo, hi, c, d in zip(hist.edges[:-1], hist.edges[1:], hist.counts, hist.densities):
-        lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)},{float(d)!r}")
-    return "\n".join(lines) + "\n"
+    edges, counts, densities = hist.edges.tolist(), hist.counts.tolist(), hist.densities.tolist()
+    cells = (map(repr, edges[:-1]), map(repr, edges[1:]), map(str, counts), map(repr, densities))
+    return _csv_text(("bin_lo", "bin_hi", "count", "density"), cells)
 
 
 def _corr(dx: np.ndarray, dy: np.ndarray) -> float:

@@ -38,7 +38,7 @@ from gridparams.analysis import (
     observed_stats,
     spearman_own_by_class,
 )
-from gridparams.sampler import generate_transformers, params_to_branch_records
+from gridparams.sampler import SyntheticTable, generate_transformers, params_to_branch_records
 from gridparams.stats import band_fraction, spearman
 
 
@@ -197,13 +197,10 @@ def test_criterion_5_decorrelation():
 def test_criterion_6_round_trip_validation():
     failures = []
     profile = builtin_profile()
-    items = []
-    for i, kv in enumerate((115.0, 138.0, 230.0)):
-        items.extend(
-            generate_transformers(
-                kv, 5000, seed=20260816 + i, profile=profile, system_mva_base=100.0
-            )
-        )
+    items = SyntheticTable.concat(
+        generate_transformers(kv, 5000, seed=20260816 + i, profile=profile, system_mva_base=100.0)
+        for i, kv in enumerate((115.0, 138.0, 230.0))
+    )
     records = params_to_branch_records(items, system_mva_base=100.0)
     collected = collect_samples(records)
     observed = observed_stats(collected, profile)

@@ -15,6 +15,7 @@ from gridparams.analysis import (
 )
 from gridparams.ingest import (
     BranchRecord,
+    BranchTable,
     RejectReason,
     _reject_reason,
     assign_voltage_class,
@@ -66,7 +67,7 @@ def test_collect_buckets_by_kind_and_class():
         _line(2, kv=345.0),  # no matching class
         _line(3, x=-1.0),  # rejected: non-positive X
     ]
-    out = collect_samples(records)
+    out = collect_samples(BranchTable.from_records(records))
     assert out.kept == 5
     assert out.unclassified == 1
     assert [r.id for r in out.rejected] == ["l3"]
@@ -87,7 +88,7 @@ def test_collect_transformer_triples_and_suspects():
         _xfmr(0, x=0.05, r=0.002),  # X/R = 25
         _xfmr(1, x=0.32, r=0.1),  # X/R = 3.2: autotransformer suspect
     ]
-    out = collect_samples(records)
+    out = collect_samples(BranchTable.from_records(records))
     assert out.suspect_counts == {115.0: 1}
     x_own, x_common, mva = out.transformer_triples[115.0]
     assert x_own.size == x_common.size == mva.size == 2
@@ -99,7 +100,7 @@ def test_collect_transformer_triples_and_suspects():
 
 def test_observed_stats_band_needs_profile_entry():
     records = [_xfmr(i, x=0.02 + 0.01 * i) for i in range(20)]
-    out = collect_samples(records)
+    out = collect_samples(BranchTable.from_records(records))
     stats = observed_stats(out, profile=builtin_profile())
     key = (ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, 115.0)
     assert stats[key].band_fraction is not None
@@ -114,7 +115,7 @@ def test_observed_stats_band_needs_profile_entry():
 
 def test_observed_stats_constant_sample_has_no_histogram():
     records = [_xfmr(i) for i in range(5)]
-    out = collect_samples(records)
+    out = collect_samples(BranchTable.from_records(records))
     stats = observed_stats(out)
     key = (ParameterKind.TRANSFORMER_MVA_RATING, 115.0)
     assert stats[key].hist is None
@@ -129,7 +130,7 @@ def test_decorrelation_stats_hand_check():
     records = [
         _xfmr(i, rating=m, x=x * 100.0 / m) for i, (m, x) in enumerate(zip(ratings, xs))
     ]
-    out = collect_samples(records)
+    out = collect_samples(BranchTable.from_records(records))
     stats = decorrelation_stats(out)
     d = stats[115.0]
     assert d.n == 5
@@ -144,10 +145,10 @@ def test_decorrelation_stats_hand_check():
 
 def test_decorrelation_omits_degenerate_classes():
     # a single transformer cannot support a correlation
-    out = collect_samples([_xfmr(0)])
+    out = collect_samples(BranchTable.from_records([_xfmr(0)]))
     assert decorrelation_stats(out) == {}
     # constant ratings: correlation undefined, class omitted
-    out = collect_samples([_xfmr(0, x=0.05), _xfmr(1, x=0.08)])
+    out = collect_samples(BranchTable.from_records([_xfmr(0, x=0.05), _xfmr(1, x=0.08)]))
     assert decorrelation_stats(out) == {}
 
 
@@ -242,18 +243,19 @@ def _fleets(draw):
     st.sampled_from([4.0, 0.0, 10.0]),
 )
 def test_columnar_collect_equals_record_loop(records, class_kvs, rating_bounds, threshold):
+    table = BranchTable.from_records(records)
     try:
         ref = _reference_collect(records, class_kvs, rating_bounds, threshold)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            collect_samples(records, class_kvs, rating_bounds=rating_bounds,
+            collect_samples(table, class_kvs, rating_bounds=rating_bounds,
                             autotransformer_xr_threshold=threshold)
         assert str(got.value) == str(exc)
         return
     reasons, values, triples, kept, unclassified, suspects = ref
-    out = collect_samples(records, class_kvs, rating_bounds=rating_bounds,
+    out = collect_samples(table, class_kvs, rating_bounds=rating_bounds,
                           autotransformer_xr_threshold=threshold)
-    outcome = filter_valid(records, rating_bounds)
+    outcome = filter_valid(table, rating_bounds)
 
     assert out.reasons.dtype == np.int8
     rows = zip(out.rejected, out.reasons, strict=True)

@@ -3,9 +3,11 @@ four distribution families."""
 
 import dataclasses
 import functools
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from gridparams.distributions import (
 )
 from gridparams.distributions import _NU_SERIES, _ndtri, _tls_constants
 from gridparams.fitting import _MIN_ZETA
-from gridparams.ingest import BranchKind, BranchRecord, VoltageClass
+from gridparams.ingest import BranchKind, BranchRecord, BranchTable, VoltageClass
 from gridparams.per_unit import BaseSpec, rebase_impedance, to_own_base, xr_ratio
 from gridparams.profiles import ParameterKind, ReferenceEntry, SummaryRef, ValidationThresholds, builtin_profile
 from gridparams.sampler import (
@@ -154,7 +156,7 @@ def test_collect_checks_a_transformer_base_as_to_own_base_does(base):
     with pytest.raises(ValueError) as expected:
         to_own_base(record.x_pu, base, record.mva_rating)
     with pytest.raises(ValueError) as got:
-        collect_samples([record])
+        collect_samples(BranchTable.from_records([record]))
     assert str(got.value) == str(expected.value) == f"system_mva_base must be finite and > 0, got {base!r}"
 
 
@@ -757,6 +759,42 @@ def test_tls_quantile_at_tiny_nu_stops_within_rounding(nu):
     finite = np.isfinite(q)
     assert q[0] == 0.0 and np.all(q[~finite] == -np.inf)  # beyond the largest float
     assert np.all(np.abs(cdf(Tls(0.0, 1.0, nu), q[finite]) - p[finite]) <= 1e-12 * p[finite])
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(math.log(5e-324), math.log(1e-10)).map(math.exp) | st.sampled_from([5e-324, 1e-311, 2e-19]),
+       p=st.floats(0.25, 0.5) | st.integers(1, 2**20).map(lambda k: 0.5 - k * 2.0**-54) | st.floats(1e-300, 0.25))
+@example(nu=4.33472636523914e-30, p=0.49999999999999756)
+@example(nu=1e-311, p=0.25)
+@example(nu=2e-19, p=0.5 - 2.0**-54)  # the quantile is finite, near -1e231, and lost to rounding
+def test_tls_quantile_at_tiny_nu_is_never_nan(nu, p):
+    d = Tls(0.0, 1.0, nu)
+    try:
+        q = quantile(d, p)
+    except ArithmeticError:
+        return
+    assert not math.isnan(q) and (q == 0.0) == (p == 0.5)
+    if 1.0 - (1.0 - p) == p:  # 1 - p is exact
+        assert quantile(d, 1.0 - p) == -q
+    if nu < 1e-19:  # every tail from 2**-54 below 1/2 lies past float range
+        assert q == (0.0 if p == 0.5 else -math.inf)
+
+
+def test_tls_quantile_past_float_range_at_tiny_nu_is_infinite():
+    assert quantile(Tls(0.0, 1.0, 4.33472636523914e-30), 0.49999999999999756) == -math.inf
+    assert quantile(Tls(0.0, 1.0, 1e-311), [0.25, 0.5, 0.75]).tolist() == [-math.inf, 0.0, math.inf]
+
+
+_TLS_QUANTILE_GRID = Path(__file__).parent / "data" / "tls_quantile_grid.json"
+
+
+def test_tls_quantiles_are_pinned():
+    # Bit-for-bit, on a (nu, p) grid from nu = 0.05 to 1e25 that covers each
+    # start and tail method; generate draws at nu = 3.
+    grid = json.loads(_TLS_QUANTILE_GRID.read_text(encoding="utf-8"))
+    p = np.array([float(v) for v in grid["p"]])
+    for nu, expected in grid["quantiles"].items():
+        assert [repr(float(q)) for q in quantile(Tls(0.0, 1.0, float(nu)), p)] == expected, nu
 
 
 def test_tls_log_pdf_past_the_overflow_of_z_squared():

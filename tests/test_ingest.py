@@ -113,7 +113,7 @@ def test_serialize_parse_round_trip():
         _rec(id="b", r_pu=1e-7, x_pu=0.3333333333333333, to_kv=13.8),
         _rec(id="c", mva_rating=float("1380")),
     ]
-    text = serialize_branch_csv(recs)
+    text = serialize_branch_csv(BranchTable.from_records(recs))
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     assert list(parse_branch_csv(text)) == recs
     # repr round-trips floats exactly and never leaks array scalar types
@@ -186,7 +186,6 @@ def test_serialize_branch_csv_matches_the_record_loop(rows):
     records = [BranchRecord(*row) for row in rows]
     expected = _reference_branch_csv(records)
     assert serialize_branch_csv(BranchTable.from_records(records)) == expected
-    assert serialize_branch_csv(records) == expected
 
 
 def test_parse_branch_csv_names_the_line_of_a_byte_that_is_not_utf8():
@@ -655,7 +654,7 @@ def test_filter_reasons():
         _rec(id="huge", mva_rating=5000.0),
         _rec(id="nan", r_pu=math.nan),
     ]
-    out = filter_valid(records, rating_bounds=DEFAULT_RATING_BOUNDS)
+    out = filter_valid(BranchTable.from_records(records), rating_bounds=DEFAULT_RATING_BOUNDS)
     assert [r.id for r in out.kept] == ["ok"]
     assert isinstance(out.rejected, BranchTable) and out.reasons.dtype == np.int8
     rows = zip(out.rejected, out.reasons, strict=True)
@@ -684,19 +683,19 @@ def _only_reason(out):
 
 def test_filter_reason_precedence():
     # r and x both bad: the resistance rule fires first
-    out = filter_valid([_rec(r_pu=-1.0, x_pu=-1.0)])
+    out = filter_valid(BranchTable.from_records([_rec(r_pu=-1.0, x_pu=-1.0)]))
     assert _only_reason(out) == RejectReason.NON_POSITIVE_R
     # NaN rating falls through the comparisons to the finiteness rule
-    out = filter_valid([_rec(mva_rating=math.nan)])
+    out = filter_valid(BranchTable.from_records([_rec(mva_rating=math.nan)]))
     assert _only_reason(out) == RejectReason.NON_FINITE
     # infinite rating is caught by the bound check, not the finiteness rule
-    out = filter_valid([_rec(mva_rating=math.inf)])
+    out = filter_valid(BranchTable.from_records([_rec(mva_rating=math.inf)]))
     assert _only_reason(out) == RejectReason.EXTREME_RATING
 
 
 def test_filter_idempotent():
     records = [_rec(id=f"r{i}", x_pu=0.01 * (i + 1)) for i in range(5)]
-    once = filter_valid(records)
+    once = filter_valid(BranchTable.from_records(records))
     twice = filter_valid(once.kept)
     assert list(twice.kept) == list(once.kept)
     assert len(twice.rejected) == 0 and twice.reasons.shape == (0,)
@@ -704,9 +703,9 @@ def test_filter_idempotent():
 
 def test_filter_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        filter_valid([_rec()], rating_bounds=(0.0, 3000.0))
+        filter_valid(BranchTable.from_records([_rec()]), rating_bounds=(0.0, 3000.0))
     with pytest.raises(ValueError):
-        filter_valid([_rec()], rating_bounds=(10.0, 5.0))
+        filter_valid(BranchTable.from_records([_rec()]), rating_bounds=(10.0, 5.0))
 
 
 # ---------------------------------------------------------- classification
