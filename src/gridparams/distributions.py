@@ -355,10 +355,9 @@ def _tls_lower_quantile(nu: float, s: np.ndarray) -> np.ndarray:
     nu < 1, Hill's up to nu = 1e20 and the normal quantile above; the second bound is exact where
     nu/t**2 is subnormal. Second-order steps solve h = log(tail/s) = 0 in u = log|t| (h concave,
     h' = -r, r = f|t|/tail, h''/h' = 1 + r - (nu+1)/(1 + nu/t**2)) until a step of 1e-6 (whose error
-    is near 1e-18: the steps converge cubically) or a miss within rounding; ArithmeticError past the cap,
-    or where rounding leaves a NaN or a 0. Below nu = 1e-12 the second bound is -inf where s < cdf(-DBL_MAX):
-    there cdf(t) >= C |t|**-nu (1 + nu/t**2)**(-(nu+1)/2), and a relative margin of 1e-9 covers the O(nu**2)
-    of log 2C = nu (log(nu)/2 - log 2) + O(nu**2)."""
+    is near 1e-18: the steps converge cubically) or a miss within rounding; ArithmeticError past the cap, and
+    for a NaN or 0 that rounding leaves. Below nu = 1e-12 the second bound is -inf where s < cdf(-DBL_MAX), as
+    cdf(t) >= C |t|**-nu (1 + nu/t**2)**(-(nu+1)/2), log 2C = nu (log(nu)/2 - log 2) + O(nu**2) (margin 1e-9)."""
     log_s, log_f0 = np.log(s), _tls_constants(nu)[0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
         power = -np.exp((0.5 - 0.5 / nu) * math.log(nu) + (log_f0 - log_s) / nu)  # C overflows at huge nu

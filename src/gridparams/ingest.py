@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -309,16 +309,15 @@ def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
 
 
 def _csv_text(header, columns) -> str:
-    """The header line, then a line per row of the columns of cells (iterables of str), each
-    ending in a line feed. Writers give floats as repr(), the shortest round-trip text."""
+    """The header line, then one line per row of the cell columns (iterables of str; floats as repr(), the
+    shortest round-trip text), each ending in a line feed. An iterator of columns frees them before the join."""
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def serialize_branch_csv(table: BranchTable) -> str:
     """Inverse of parse_branch_csv."""
-    columns = [getattr(table, name).tolist() for name in _COLUMNS]
-    cells = [table.ids, *(map(str, c) for c in columns[:2]), *(map(repr, c) for c in columns[2:])]
-    return _csv_text(CSV_HEADER, cells)
+    cells = (map(f, getattr(table, name).tolist()) for f, name in zip([str] * 2 + [repr] * 7, _COLUMNS))
+    return _csv_text(CSV_HEADER, chain([table.ids], cells))
 
 
 def _strip_matlab_comments(text: str) -> str:

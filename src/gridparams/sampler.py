@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -376,7 +377,8 @@ def params_csv(table: SyntheticTable) -> str:
     """Plot-ready CSV of generated branches; own-base cells are empty for lines."""
     header = PARAMS_CSV_HEADER.split(",")
     kinds = np.array([k.value for k in _KINDS])[table.kind].tolist()
-    text = _csv_text(header, [kinds, *(map(repr, getattr(table, name).tolist()) for name in header[1:])])
+    floats = (map(repr, getattr(table, name).tolist()) for name in header[1:])
+    text = _csv_text(header, chain([kinds], floats))
     # Own-base x and r are adjacent columns, NaN together on exactly the line
     # rows, and no other cell can be NaN: blank those cells in one pass.
     return text.replace(",nan,nan,", ",,,")
