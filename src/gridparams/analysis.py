@@ -95,7 +95,7 @@ def collect_samples(
         for is_transformer, mask in ((True, in_class & transformer), (False, in_class & ~transformer)):
             rows = np.flatnonzero(mask)
             if rows.size:
-                groups.append((rows[0], classes[i].nominal_kv, is_transformer, rows))
+                groups.append((rows[0], classes[i], is_transformer, rows))
     values: dict[tuple[ParameterKind, float], np.ndarray] = {}
     triples: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for _, kv, is_transformer, rows in sorted(groups, key=lambda g: g[0]):
@@ -121,9 +121,7 @@ def collect_samples(
         rejected=outcome.rejected,
         reasons=outcome.reasons,
         unclassified=int(np.count_nonzero(~classified)),
-        suspect_counts={
-            classes[flagged[j]].nominal_kv: int(n_flagged[j]) for j in np.argsort(first_flagged)
-        },
+        suspect_counts={classes[flagged[j]]: int(n_flagged[j]) for j in np.argsort(first_flagged)},
     )
 
 

@@ -433,9 +433,9 @@ def from_json(obj: dict) -> DistSpec:
 
 def fields_from_json(cls, obj, what: str):
     """An instance of the dataclass cls from a JSON object keyed by its field
-    names, each value converted with float(). A value that is not such an
-    object, an unknown or missing field, and a value float() cannot take
-    raise ValueError naming what was being read."""
+    names, each value read by number_from_json. A value that is not such an
+    object, an unknown or missing field, and a value that is not a JSON
+    number raise ValueError naming what was being read."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
@@ -455,8 +455,11 @@ def _require(name: str, value, bound: str = "> 0") -> None:
 
 
 def number_from_json(value, what: str) -> float:
-    """float(value); ValueError naming what was being read if float() cannot take it."""
+    """float(value) for a JSON number, an int or float that is not a bool;
+    ValueError naming what was being read for any other value, or an int past float range."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what}: expected a number, got {value!r}") from None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what}: expected a number, got {value!r}")

@@ -203,6 +203,8 @@ def _tls_objective(d: Tls, x: np.ndarray) -> tuple[float, np.ndarray]:
         return _PENALTY, np.zeros(3)
     wz = (d.nu + 1.0) * z / (d.nu + zz)
     wzz = wz * z
+    # The score takes the raw w, not log_terms: where zz/nu overflowed it is not finite, which ends
+    # a search along an unbounded ridge; with log_terms that search would run to its iteration cap.
     return -ll, -np.array([np.sum(wz) / d.sigma, np.sum(wzz) - x.size,
                            x.size * (0.5 * h) + 0.5 * np.sum(wzz - d.nu * w)])
 

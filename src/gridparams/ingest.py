@@ -31,7 +31,6 @@ __all__ = [
     "BranchTable",
     "BranchKind",
     "RejectReason",
-    "VoltageClass",
     "FilterOutcome",
     "CSV_HEADER",
     "DEFAULT_RATING_BOUNDS",
@@ -122,18 +121,9 @@ class RejectReason(Enum):
     NON_FINITE = "NonFinite"
 
 
-@dataclass(frozen=True)
-class VoltageClass:
-    """Nominal kV, matched within KV_TOLERANCE_FRAC of it."""
-
-    nominal_kv: float
-
-    def __post_init__(self):
-        _require("nominal_kv", self.nominal_kv)
-
-    def matches(self, kv):
-        """Whether kv (a float or an array of them) is in the class."""
-        return abs(kv - self.nominal_kv) <= KV_TOLERANCE_FRAC * self.nominal_kv
+def _in_class(kv, nominal_kv: float):
+    """Whether kv (a float or an array of them) is within KV_TOLERANCE_FRAC of nominal_kv."""
+    return abs(kv - nominal_kv) <= KV_TOLERANCE_FRAC * nominal_kv
 
 
 _FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", "system_mva_base")
@@ -202,9 +192,10 @@ class FilterOutcome:
 
 
 def decode_utf8(data: bytes) -> str:
-    """The UTF-8 text of data; a byte that is not UTF-8 raises ParseError naming its line."""
+    """The UTF-8 text of data, less one leading byte-order mark; a byte that
+    is not UTF-8 raises ParseError naming its line."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line=line) from None
@@ -525,30 +516,31 @@ def _transformer_masks(
     return transformer, transformer & low_xr
 
 
-def voltage_class_table(nominal_kvs) -> list[VoltageClass]:
-    """Build a class table, rejecting overlapping tolerance intervals."""
-    classes = sorted((VoltageClass(float(kv)) for kv in nominal_kvs), key=lambda c: c.nominal_kv)
+def voltage_class_table(nominal_kvs) -> list[float]:
+    """The nominal kVs, sorted; each must be finite and > 0, and no tolerance intervals overlap."""
+    classes = [float(kv) for kv in nominal_kvs]
+    for kv in classes:
+        _require("nominal_kv", kv)
+    classes.sort()
     for a, b in zip(classes, classes[1:]):
-        if a.nominal_kv * (1 + KV_TOLERANCE_FRAC) >= b.nominal_kv * (1 - KV_TOLERANCE_FRAC):
-            raise ValueError(
-                f"voltage classes {a.nominal_kv} and {b.nominal_kv} overlap "
-                f"under tolerance {KV_TOLERANCE_FRAC}"
-            )
+        if a * (1 + KV_TOLERANCE_FRAC) >= b * (1 - KV_TOLERANCE_FRAC):
+            raise ValueError(f"voltage classes {a} and {b} overlap under tolerance {KV_TOLERANCE_FRAC}")
     return classes
 
 
 def assign_voltage_class(
     record: BranchRecord, kind: BranchKind, classes
-) -> VoltageClass | None:
+) -> float | None:
     """Match transformers by high-voltage terminal, lines by from-terminal.
 
-    Returns None when no class matches; such records are excluded from
-    per-class statistics. Assumes a non-overlapping class table.
+    Returns the matching nominal kV of classes, or None when none matches;
+    such records are excluded from per-class statistics. Assumes a
+    non-overlapping class table.
     """
     kv = max(record.from_kv, record.to_kv) if is_transformer(kind) else record.from_kv
-    for cls in classes:
-        if cls.matches(kv):
-            return cls
+    for nominal_kv in classes:
+        if _in_class(kv, nominal_kv):
+            return nominal_kv
     return None
 
 
@@ -558,6 +550,6 @@ def _voltage_class_index(table: BranchTable, transformer: np.ndarray, classes) -
     kv = np.where(transformer, np.maximum(table.from_kv, table.to_kv), table.from_kv)
     index = np.full(kv.shape, -1)
     # Last class first, so that the first matching class is the one left.
-    for i, cls in reversed(list(enumerate(classes))):
-        index[cls.matches(kv)] = i
+    for i, nominal_kv in reversed(list(enumerate(classes))):
+        index[_in_class(kv, nominal_kv)] = i
     return index

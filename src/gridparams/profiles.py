@@ -35,7 +35,7 @@ from .distributions import (
     to_json as dist_to_json,
 )
 from .fitting import fit_and_score, kl_divergence, select_best
-from .ingest import VoltageClass
+from .ingest import _in_class
 from .stats import Histogram, SummaryStats
 
 __all__ = [
@@ -191,10 +191,7 @@ def _check_unique(entries) -> None:
 def lookup(profile, kind: ParameterKind, class_kv: float) -> ReferenceEntry | None:
     """The entry for kind whose class_kv matches class_kv within the
     voltage-class tolerance with which records are classed, or None."""
-    for e in profile:
-        if e.kind is kind and VoltageClass(e.class_kv).matches(class_kv):
-            return e
-    return None
+    return next((e for e in profile if e.kind is kind and _in_class(class_kv, e.class_kv)), None)
 
 
 @dataclass(frozen=True)
@@ -443,14 +440,13 @@ def validate(
     _check_unique(profile)
     findings: list[Finding] = []
     for entry in profile:
-        same_class = VoltageClass(entry.class_kv).matches
-        obs = next(
-            (o for (kind, kv), o in observed.items() if kind is entry.kind and same_class(kv)), None
-        )
+        obs = next((o for (kind, kv), o in observed.items()
+                    if kind is entry.kind and _in_class(kv, entry.class_kv)), None)
         if obs is None or obs.summary.n == 0:
             outcomes = [("CoverageCheck", None, "no observed data for this class")]
         else:
-            rho = next((r for kv, r in (transformer_decorrelation or {}).items() if same_class(kv)), None)
+            rho = next((r for kv, r in (transformer_decorrelation or {}).items()
+                        if _in_class(kv, entry.class_kv)), None)
             outcomes = [(name, field, check(entry, obs, getattr(thresholds, field), rho))
                         for name, field, check in _CHECKS]
         for name, field, outcome in outcomes:

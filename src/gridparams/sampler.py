@@ -200,24 +200,16 @@ def calibrate_reactance_tls(
         return _band_mass(Tls(mu=mu, sigma=sigma, nu=nu), band.lo, band.hi, truncate_to)
 
     # Mass shrinks as the scale grows (band contains the location), so
-    # bracket by scaling sigma in both directions, then bisect.
+    # bracket by scaling sigma in both directions, then bisect. Halving
+    # ends: once every edge lies ~1e16 scales from the median, the mass rounds to 1.
     sigma_lo = sigma_hi = 0.5 * (band.hi - band.lo)
-    for _ in range(200):
-        if mass(sigma_lo) >= band.fraction:
-            break
+    while mass(sigma_lo) < band.fraction:
         sigma_lo /= 2.0
-    else:
-        raise ValueError(
-            f"band fraction {band.fraction} exceeds the achievable supremum "
-            f"{mass(sigma_lo):.6f} for nu={nu}"
-        )
     # Conditional mass levels off at a positive limit under truncation, so
-    # watch for a plateau (or precision loss) instead of doubling blindly.
-    m_hi = mass(sigma_hi)
+    # watch for a plateau (or precision loss) instead of doubling blindly; the
+    # change per doubling shrinks geometrically, so that test ends the loop.
     prev = math.inf
-    for _ in range(200):
-        if m_hi <= band.fraction:
-            break
+    while (m_hi := mass(sigma_hi)) > band.fraction:
         if not 0.0 <= m_hi <= 1.0 or abs(m_hi - prev) <= 1e-12:
             raise ValueError(
                 f"band fraction {band.fraction} is below the achievable infimum "
@@ -225,12 +217,6 @@ def calibrate_reactance_tls(
             )
         prev = m_hi
         sigma_hi *= 2.0
-        m_hi = mass(sigma_hi)
-    else:
-        raise ValueError(
-            f"band fraction {band.fraction} is below the achievable infimum "
-            f"{m_hi:.6f} for nu={nu} under truncation {truncate_to}"
-        )
 
     for _ in range(500):
         sigma = 0.5 * (sigma_lo + sigma_hi)

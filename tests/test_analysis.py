@@ -170,11 +170,11 @@ def _reference_collect(records, class_kvs, rating_bounds, threshold):
     values, triples, suspects, unclassified = {}, {}, {}, 0
     for r in kept:
         kind = classify_branch(r, threshold)
-        cls = assign_voltage_class(r, kind, classes)
-        if cls is None:
+        kv = assign_voltage_class(r, kind, classes)
+        if kv is None:
             unclassified += 1
             continue
-        kv, xr = cls.nominal_kv, xr_ratio(r.r_pu, r.x_pu)
+        xr = xr_ratio(r.r_pu, r.x_pu)
         if is_transformer(kind):
             x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating)
             pushes = [

@@ -615,6 +615,21 @@ def test_validate_rejects_unknown_fitted_fields(tmp_path):
     assert err == "error: unknown fitted fields: ['parms']\n"
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--thresholds", '{"kl_max_nats": true}', "threshold kl_max_nats: expected a number, got True"),
+    ("--thresholds", '{"kl_max_nats": "0.5"}', "threshold kl_max_nats: expected a number, got '0.5'"),
+    ("--profile", '[{"kind": "TransformerXr", "class_kv": "115", "family": "gev"}]',
+     "class_kv: expected a number, got '115'"),
+], ids=["threshold-true", "threshold-string", "class_kv-string"])
+def test_a_json_value_that_is_not_a_json_number_is_an_input_error(tmp_path, flag, text, message):
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, err = _run_quietly(["validate", "--case", str(case), flag, str(path)])
+    assert (code, err) == (1, f"error: {message}\n")
+
+
 def test_validate_skips_the_family_check_of_a_constant_sample(tmp_path):
     # Twelve 115 kV lines, all rated 100 MVA: the capacity sample is constant.
     branches = tmp_path / "lines.csv"

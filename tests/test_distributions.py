@@ -35,7 +35,7 @@ from gridparams.distributions import (
 )
 from gridparams.distributions import _NU_SERIES, _ndtri, _tls_constants
 from gridparams.fitting import _MIN_ZETA
-from gridparams.ingest import BranchKind, BranchRecord, BranchTable, VoltageClass
+from gridparams.ingest import BranchKind, BranchRecord, BranchTable, voltage_class_table
 from gridparams.per_unit import BaseSpec, rebase_impedance, to_own_base, xr_ratio
 from gridparams.profiles import ParameterKind, ReferenceEntry, SummaryRef, ValidationThresholds, builtin_profile
 from gridparams.sampler import (
@@ -107,7 +107,7 @@ _RULES = [
     ("system_mva_base", "> 0", lambda v: to_own_base(0.1, v, 60.0)),
     ("mva_rating", "> 0", lambda v: to_own_base(0.1, 100.0, v)),
     ("r_pu", "> 0", lambda v: xr_ratio(v, 0.1)),
-    ("nominal_kv", "> 0", lambda v: VoltageClass(v)),
+    ("nominal_kv", "> 0", lambda v: voltage_class_table([v])),
     *[(f"summary {f}", "", lambda v, f=f: SummaryRef(**{f: v})) for f in ("median", "mean", "min", "max", "q10", "q90")],
     ("class_kv", "> 0", lambda v: ReferenceEntry(ParameterKind.LINE_XR, v, family="normal")),
     ("reference_d_kl", ">= 0", lambda v: ReferenceEntry(
@@ -887,3 +887,12 @@ def test_from_json_rejects_missing_param():
 def test_from_json_names_malformed_params(params):
     with pytest.raises(ValueError, match="normal params"):
         from_json({"family": "normal", "params": params})
+
+
+def test_number_from_json_takes_only_an_int_or_float_that_is_not_a_bool():
+    for value in (3, 2.5, -0.0, math.inf):
+        got = distributions.number_from_json(value, "x")
+        assert type(got) is float and got == value
+    for value in (True, False, "0.5", "115", None, [1.0], {"v": 1}, 10**400):
+        with pytest.raises(ValueError, match=f"^x: expected a number, got {re.escape(repr(value))}$"):
+            distributions.number_from_json(value, "x")

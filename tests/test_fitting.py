@@ -54,6 +54,16 @@ def test_normal_mle_rejects_constant():
         fit_mle("normal", [2.0, 2.0, 2.0])
 
 
+def test_normal_mle_needs_two_values():
+    with pytest.raises(ValueError, match=r"^normal fit needs at least 2 values$"):
+        fit_mle("normal", [1.0])
+
+
+def test_gev_mle_rejects_constant():
+    with pytest.raises(ValueError, match=r"^cannot fit a scale family to a constant sample$"):
+        fit_mle("gev", [2.0, 2.0, 2.0])
+
+
 @pytest.mark.parametrize("family", ["tls", "gev", "exponential", "normal"])
 def test_mle_rejects_empty_and_nonfinite(family):
     with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from gridparams.ingest import (
     BranchTable,
     ParseError,
     RejectReason,
-    VoltageClass,
     assign_voltage_class,
     classify_branch,
     filter_valid,
@@ -200,6 +199,33 @@ def test_parse_matpower_names_the_line_of_a_byte_that_is_not_utf8():
     with pytest.raises(ParseError, match="0xe9 is not valid UTF-8") as exc:
         parse_matpower_case(data)
     assert exc.value.line == 2
+
+
+_BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("row", [GOOD_ROW, '"t1"' + GOOD_ROW[2:]], ids=["numpy-reader", "row-wise-reader"])
+def test_parse_branch_csv_ignores_a_leading_byte_order_mark(row):
+    # A quote sends the text through the row-wise reader.
+    data = (",".join(CSV_HEADER) + "\n" + row + "\n").encode()
+    assert _outcome(parse_branch_csv, _BOM + data) == _outcome(parse_branch_csv, data)
+    assert _outcome(parse_branch_csv, data)[0] == "table"
+
+
+def test_parse_matpower_ignores_a_leading_byte_order_mark():
+    def branches(data):
+        return parse_matpower_case(data)[1]
+
+    data = CASE3.encode()
+    assert parse_matpower_case(_BOM + data)[0] == parse_matpower_case(data)[0]
+    assert _outcome(branches, _BOM + data) == _outcome(branches, data)
+
+
+def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_names_its_line():
+    data = _BOM + (",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n").encode() + b"t\xff2,1,2\n"
+    with pytest.raises(ParseError, match="0xff is not valid UTF-8") as exc:
+        parse_branch_csv(data)
+    assert exc.value.line == 3
 
 
 @given(st.lists(st.tuples(_ids, _buses, _buses, *[_floats] * 7), max_size=30))
@@ -762,31 +788,34 @@ def test_kind_values():
 
 
 def test_voltage_class_matching():
-    vc = VoltageClass(nominal_kv=115.0)
-    assert vc.matches(115.0)
-    assert vc.matches(116.0)
-    assert not vc.matches(120.0)
+    assert ingest._in_class(115.0, 115.0)
+    assert ingest._in_class(116.0, 115.0)
+    assert not ingest._in_class(120.0, 115.0)
 
 
 def test_voltage_class_table_rejects_overlap():
     with pytest.raises(ValueError):
         voltage_class_table([115.0, 117.0])
     table = voltage_class_table([115.0, 138.0, 230.0])
-    assert [vc.nominal_kv for vc in table] == [115.0, 138.0, 230.0]
+    assert table == [115.0, 138.0, 230.0]
+
+
+def test_voltage_class_table_checks_in_input_order_then_sorts():
+    assert voltage_class_table([230, 115.0, 138]) == [115.0, 138.0, 230.0]
+    with pytest.raises(ValueError, match=r"^nominal_kv must be finite and > 0, got -5\.0$"):
+        voltage_class_table([115.0, -5.0, math.nan])
 
 
 def test_assign_transformer_uses_high_side():
     table = voltage_class_table([115.0, 138.0, 230.0])
     rec = _rec(tap_ratio=1.0, from_kv=13.8, to_kv=230.0, x_pu=0.4)
-    vc = assign_voltage_class(rec, BranchKind.TRANSFORMER, table)
-    assert vc is not None and vc.nominal_kv == 230.0
+    assert assign_voltage_class(rec, BranchKind.TRANSFORMER, table) == 230.0
 
 
 def test_assign_line_uses_from_side():
     table = voltage_class_table([115.0, 138.0, 230.0])
     rec = _rec(from_kv=138.0, to_kv=138.0)
-    vc = assign_voltage_class(rec, BranchKind.TRANSMISSION_LINE, table)
-    assert vc is not None and vc.nominal_kv == 138.0
+    assert assign_voltage_class(rec, BranchKind.TRANSMISSION_LINE, table) == 138.0
 
 
 def test_assign_unmatched_is_none():

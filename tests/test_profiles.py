@@ -192,6 +192,15 @@ def test_parse_profile_requires_array():
         parse_profile_json(json.dumps({"kind": "LineCapacity"}))
 
 
+def test_parse_profile_names_a_missing_class_kv_and_an_unknown_family():
+    entry = {"kind": "TransformerXr", "family": "gev"}
+    with pytest.raises(ValueError, match=r"^profile entry missing class_kv: \{'kind': 'TransformerXr', 'family': 'gev'\}$"):
+        parse_profile_json(json.dumps([entry]))
+    entry = {"kind": "TransformerXr", "class_kv": 115, "fitted": {"family": "weibull"}}
+    with pytest.raises(ValueError, match=r"^unknown family 'weibull'$"):
+        parse_profile_json(json.dumps([entry]))
+
+
 def test_unknown_fitted_fields_rejected():
     # A misspelt "params" must not read as a family with no parameters.
     entry = {"kind": "TransformerMvaRating", "class_kv": 115.0,

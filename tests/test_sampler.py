@@ -110,6 +110,22 @@ def test_calibration_unachievable_fraction():
         calibrate_reactance_tls(fake)
 
 
+def test_calibration_halves_the_scale_until_the_band_mass_is_reached():
+    # The band is 1e50 times wider than the median's gap to its lower edge, so
+    # the mass first reaches the fraction about 220 halvings down.
+    entry = _band_target()
+    lo = math.nextafter(1.0, 0.0)
+    fake = ReferenceEntry(
+        kind=entry.kind,
+        class_kv=entry.class_kv,
+        summary=SummaryRef(median=1.0),
+        band=BandRef(lo=lo, hi=1e50, fraction=0.9),
+        family=entry.family,
+    )
+    d = calibrate_reactance_tls(fake).dist
+    assert float(cdf(d, 1e50) - cdf(d, lo)) == pytest.approx(0.9, abs=1e-6)
+
+
 def test_calibration_unachievable_truncated_infimum():
     # truncating to a window barely wider than the band keeps nearly all
     # conditional mass inside it, so a small target is unreachable
@@ -123,6 +139,11 @@ def test_calibration_unachievable_truncated_infimum():
     )
     with pytest.raises(ValueError, match="infimum"):
         calibrate_reactance_tls(fake, truncate_to=(0.0, 0.25))
+
+
+def test_calibration_requires_median_inside_truncation():
+    with pytest.raises(ValueError, match=r"^truncation interval \(0\.0, 0\.001\] must contain the median 0\.1291$"):
+        calibrate_reactance_tls(_band_target(), truncate_to=(0.0, 1e-3))
 
 
 def test_calibration_requires_median_inside_band():
@@ -294,8 +315,7 @@ def test_params_to_branch_records_round_trip():
             assert kind is not BranchKind.TRANSMISSION_LINE
         else:
             assert kind is BranchKind.TRANSMISSION_LINE
-        vc = assign_voltage_class(rec, kind, table)
-        assert vc is not None and vc.nominal_kv == 115.0
+        assert assign_voltage_class(rec, kind, table) == 115.0
         assert rec.system_mva_base == 100.0
     ids = [r.id for r in records]
     assert len(set(ids)) == len(ids)
