@@ -19,6 +19,7 @@ across runs and platforms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,13 +163,17 @@ def n_params(family: str) -> int:
     return len(dataclasses.fields(_TYPE_BY_FAMILY[family]))
 
 
-def _split(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _join(arr, scalar):
-    return float(arr) if scalar else arr
+def _elementwise(fn):
+    """fn(d, x, /) for a spec d (else TypeError) and x as a float array, under one floating-point policy
+    that fn's helpers rely on: past float range the result takes its limit, without a warning. 0-d x: a float."""
+    @functools.wraps(fn)
+    def wrapper(d: DistSpec, x, /):
+        family_tag(d)
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(d, arr)
+        return float(out) if arr.ndim == 0 else out
+    return wrapper
 
 
 def _gev_support(d: Gev, arr):
@@ -200,42 +205,34 @@ def _tls_constants(nu: float) -> tuple[float, float]:
     return log_f0, h
 
 
+@_elementwise
 def log_pdf(d: DistSpec, x):
     """Natural log of the density; -inf outside the support."""
-    arr, scalar = _split(x)
     if isinstance(d, Tls):
-        z = (arr - d.mu) / d.sigma
-        with np.errstate(over="ignore", divide="ignore"):  # log|z| of a z = 0 goes unused
-            w = np.log1p(z * z / d.nu)
-            if np.isinf(w).any():  # z*z/nu overflowed; the log is finite unless z is
-                w = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
-        out = _tls_constants(d.nu)[0] - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * w
-    elif isinstance(d, Gev):
-        log_s, inside = _gev_support(d, arr)
-        out = np.where(
-            inside,
+        z = (x - d.mu) / d.sigma
+        w = np.log1p(z * z / d.nu)
+        if np.isinf(w).any():  # z*z/nu overflowed; the log is finite unless z is
+            w = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
+        return _tls_constants(d.nu)[0] - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * w
+    if isinstance(d, Gev):
+        log_s, inside = _gev_support(d, x)
+        return np.where(
+            inside & (log_s < np.inf),  # an infinite log_s puts x past float range from mu: density 0
             -math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta),
             -np.inf,
         )
-    elif isinstance(d, Exponential):
-        out = np.where(arr >= 0, -math.log(d.mu) - arr / d.mu, -np.inf)
-    elif isinstance(d, Normal):
-        z = (arr - d.mu) / d.sigma
-        out = -0.5 * z * z - math.log(d.sigma) - 0.5 * math.log(2.0 * math.pi)
-    else:
-        raise TypeError(f"not a distribution spec: {d!r}")
-    return _join(out, scalar)
+    if isinstance(d, Exponential):
+        return np.where(x >= 0, -math.log(d.mu) - x / d.mu, -np.inf)
+    z = (x - d.mu) / d.sigma
+    return -0.5 * z * z - math.log(d.sigma) - 0.5 * math.log(2.0 * math.pi)
 
 
+@_elementwise
 def pdf(d: DistSpec, x):
     """Density at x. Exactly 0 outside the support (never an error)."""
-    arr, scalar = _split(x)
     if isinstance(d, Exponential):
-        z = np.where(arr >= 0, arr, 0.0)  # mask first: exp overflows on -x/mu
-        out = np.where(arr >= 0, np.exp(-z / d.mu) / d.mu, 0.0)
-    else:
-        out = np.exp(log_pdf(d, arr))
-    return _join(out, scalar)
+        return np.where(x >= 0, np.exp(-x / d.mu) / d.mu, 0.0)
+    return np.exp(log_pdf(d, x))
 
 
 def _continued_fraction(coef, y: np.ndarray) -> np.ndarray:
@@ -269,57 +266,51 @@ def _tls_tail(nu: float, t) -> tuple[np.ndarray, np.ndarray]:
     a = max(nu, 1e-300) / 2.0
     log_f0 = _tls_constants(nu)[0]
     tail, log_tail = np.empty(t.shape), np.empty(t.shape)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
-        t2 = t * t
-        small = t2 <= nu
-        r = np.where(small, t2 / nu, nu / t2)
-        log1p_r = np.log1p(r)
-        log_x = -log1p_r - np.where(small, 0.0, 2.0 * np.log(np.abs(t)) - math.log(nu))
-        log_min = np.where(small, np.log(np.abs(t)), 0.5 * math.log(nu))  # log min(|t|, sqrt(nu))
-        swap = np.where(small, (a + 1.0) * r <= 1.5, 1.5 * r >= a + 1.0)
-        i = ~swap
-        y = np.where(small[i], 1.0 / r[i], r[i]) / a  # x/(1 - x)/a
-        cf = _continued_fraction(
-            lambda n: (n // 2) * ((a + (n // 2 - 0.5)) / (a + (n - 1))) * (a / (a + n)) if n % 2 == 0
-            else ((a + n // 2) / (a + (n - 1))) * (n // 2 + 0.5) * (a / (a + n)), y)
-        rest = np.log(cf) + log_f0 + 0.5 * log1p_r[i] - log_min[i]
-        log_tail[i] = a * log_x[i] + rest
-        # Where t*t > nu, x**a = |m|**-nu (nu/4**e)**a (1 + r)**-a for t = m 2**e: exact pow arguments.
-        m, e = np.frexp(t[i])
-        q = np.ldexp(float(nu), -2 * e)  # an int nu would pick numpy's float16 loop
-        pow_m, pow_q = np.power(np.abs(m), -nu), np.power(q, a)
-        exact = ~small[i] & (q >= _TINY) & (pow_q >= _TINY) & np.isfinite(pow_m)
-        lead = np.where(exact, pow_m * pow_q * np.exp(-a * log1p_r[i]), np.exp(a * log_x[i]))
-        tail[i] = np.where(lead >= _TINY, lead * np.exp(rest), np.exp(log_tail[i]))
-        aw = a * np.where(small[swap], r[swap], 1.0) / (1.0 + r[swap])  # a*(1 - x)
-        cf = _continued_fraction(
-            lambda n: (n // 2) * ((a - n // 2) / a) / ((n - 0.5) * (n + 0.5)) if n % 2 == 0
-            else -((n // 2 + 0.5) / (n - 0.5)) * ((a + (n // 2 + 0.5)) / a) / (n + 0.5), aw)
-        tail[swap] = 0.5 - np.exp(a * log_x[swap] + log_f0 - 0.5 * log1p_r[swap] + log_min[swap]) * cf
-        log_tail[swap] = np.log(tail[swap])
+    t2 = t * t
+    small = t2 <= nu
+    r = np.where(small, t2 / nu, nu / t2)
+    log1p_r = np.log1p(r)
+    log_x = -log1p_r - np.where(small, 0.0, 2.0 * np.log(np.abs(t)) - math.log(nu))
+    log_min = np.where(small, np.log(np.abs(t)), 0.5 * math.log(nu))  # log min(|t|, sqrt(nu))
+    swap = np.where(small, (a + 1.0) * r <= 1.5, 1.5 * r >= a + 1.0)
+    i = ~swap
+    y = np.where(small[i], 1.0 / r[i], r[i]) / a  # x/(1 - x)/a
+    cf = _continued_fraction(
+        lambda n: (n // 2) * ((a + (n // 2 - 0.5)) / (a + (n - 1))) * (a / (a + n)) if n % 2 == 0
+        else ((a + n // 2) / (a + (n - 1))) * (n // 2 + 0.5) * (a / (a + n)), y)
+    rest = np.log(cf) + log_f0 + 0.5 * log1p_r[i] - log_min[i]
+    log_tail[i] = a * log_x[i] + rest
+    # Where t*t > nu, x**a = |m|**-nu (nu/4**e)**a (1 + r)**-a for t = m 2**e: exact pow arguments.
+    m, e = np.frexp(t[i])
+    q = np.ldexp(float(nu), -2 * e)  # an int nu would pick numpy's float16 loop
+    pow_m, pow_q = np.power(np.abs(m), -nu), np.power(q, a)
+    exact = ~small[i] & (q >= _TINY) & (pow_q >= _TINY) & np.isfinite(pow_m)
+    lead = np.where(exact, pow_m * pow_q * np.exp(-a * log1p_r[i]), np.exp(a * log_x[i]))
+    tail[i] = np.where(lead >= _TINY, lead * np.exp(rest), np.exp(log_tail[i]))
+    aw = a * np.where(small[swap], r[swap], 1.0) / (1.0 + r[swap])  # a*(1 - x)
+    cf = _continued_fraction(
+        lambda n: (n // 2) * ((a - n // 2) / a) / ((n - 0.5) * (n + 0.5)) if n % 2 == 0
+        else -((n // 2 + 0.5) / (n - 0.5)) * ((a + (n // 2 + 0.5)) / a) / (n + 0.5), aw)
+    tail[swap] = 0.5 - np.exp(a * log_x[swap] + log_f0 - 0.5 * log1p_r[swap] + log_min[swap]) * cf
+    log_tail[swap] = np.log(tail[swap])
     return tail, log_tail
 
 
+@_elementwise
 def cdf(d: DistSpec, x):
-    arr, scalar = _split(x)
     if isinstance(d, Tls):
-        z = (arr - d.mu) / d.sigma
+        z = (x - d.mu) / d.sigma
         tail = _tls_tail(d.nu, z)[0]
-        out = np.where(z < 0, tail, 1.0 - tail)
-    elif isinstance(d, Gev):
-        log_s, inside = _gev_support(d, arr)
-        out = np.where(inside, np.exp(-np.exp(-log_s / d.zeta)), 0.0 if d.zeta > 0 else 1.0)
-    elif isinstance(d, Exponential):
-        z = np.where(arr >= 0, arr, 0.0)
-        out = np.where(arr >= 0, -np.expm1(-z / d.mu), 0.0)
-    elif isinstance(d, Normal):
-        # As Cephes' ndtr: erf near the centre, erfc of |x| in the tails.
-        x = (arr - d.mu) / d.sigma * math.sqrt(0.5)
-        tail = 0.5 * _erfc(np.abs(x))
-        out = np.where(np.abs(x) < math.sqrt(0.5), 0.5 + 0.5 * _erf(x), np.where(x > 0, 1.0 - tail, tail))
-    else:
-        raise TypeError(f"not a distribution spec: {d!r}")
-    return _join(out, scalar)
+        return np.where(z < 0, tail, 1.0 - tail)
+    if isinstance(d, Gev):
+        log_s, inside = _gev_support(d, x)
+        return np.where(inside, np.exp(-np.exp(-log_s / d.zeta)), 0.0 if d.zeta > 0 else 1.0)
+    if isinstance(d, Exponential):
+        return np.where(x >= 0, -np.expm1(-x / d.mu), 0.0)
+    # As Cephes' ndtr: erf near the centre, erfc of |x| in the tails.
+    z = (x - d.mu) / d.sigma * math.sqrt(0.5)
+    tail = 0.5 * _erfc(np.abs(z))
+    return np.where(np.abs(z) < math.sqrt(0.5), 0.5 + 0.5 * _erf(z), np.where(z > 0, 1.0 - tail, tail))
 
 
 def _ndtri(p):
@@ -359,55 +350,50 @@ def _tls_lower_quantile(nu: float, s: np.ndarray) -> np.ndarray:
     for a NaN or 0 that rounding leaves. Below nu = 1e-12 the second bound is -inf where s < cdf(-DBL_MAX), as
     cdf(t) >= C |t|**-nu (1 + nu/t**2)**(-(nu+1)/2), log 2C = nu (log(nu)/2 - log 2) + O(nu**2) (margin 1e-9)."""
     log_s, log_f0 = np.log(s), _tls_constants(nu)[0]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
-        power = -np.exp((0.5 - 0.5 / nu) * math.log(nu) + (log_f0 - log_s) / nu)  # C overflows at huge nu
-        if nu < 1e-12:
-            power[-np.log(2.0 * s) > nu * (_LOG_MAX + math.log(2.0) - 0.5 * math.log(nu)) * (1.0 + 1e-9)] = -np.inf
-        start = (s - 0.5) / math.exp(log_f0) if nu < 1 else _hill_start(nu, s) if nu <= 1e20 else _ndtri(s)
-        exact = (nu / (power * power) < _TINY) & (s < 0.5)
-        t = np.where(exact, power, np.fmax(start, power))
-        todo = np.flatnonzero(~exact & (t != 0.0))
-        for _ in range(_QUANTILE_STEPS):
-            if todo.size == 0:
-                if not np.all(t[s < 0.5] < 0.0):  # a NaN, or a 0 that rounding left
-                    raise ArithmeticError(f"t quantile at nu = {nu!r} is lost to rounding")
-                return t
-            tk, sk, log_sk = t[todo], s[todo], log_s[todo]
-            tail, log_tail = _tls_tail(nu, tk)
-            miss = np.where((tail >= _TINY) & (sk >= _TINY), np.log(tail / sk), log_tail - log_sk)
-            r = -tk * np.exp(log_pdf(Tls(0.0, 1.0, nu), tk) - log_tail)
-            x = miss / r
-            step = x * np.clip(1.0 - 0.5 * x * (1.0 + r - (nu + 1.0) / (1.0 + nu / (tk * tk))), 0.5, 1.5)
-            t[todo] = tk * np.exp(step)
-            todo = todo[(np.abs(step) > 1e-6) & (np.abs(miss) > 8.0 * _EPS * (1.0 - log_sk))]
+    power = -np.exp((0.5 - 0.5 / nu) * math.log(nu) + (log_f0 - log_s) / nu)  # C overflows at huge nu
+    if nu < 1e-12:
+        power[-np.log(2.0 * s) > nu * (_LOG_MAX + math.log(2.0) - 0.5 * math.log(nu)) * (1.0 + 1e-9)] = -np.inf
+    start = (s - 0.5) / math.exp(log_f0) if nu < 1 else _hill_start(nu, s) if nu <= 1e20 else _ndtri(s)
+    exact = (nu / (power * power) < _TINY) & (s < 0.5)
+    t = np.where(exact, power, np.fmax(start, power))
+    todo = np.flatnonzero(~exact & (t != 0.0))
+    for _ in range(_QUANTILE_STEPS):
+        if todo.size == 0:
+            if not np.all(t[s < 0.5] < 0.0):  # a NaN, or a 0 that rounding left
+                raise ArithmeticError(f"t quantile at nu = {nu!r} is lost to rounding")
+            return t
+        tk, sk, log_sk = t[todo], s[todo], log_s[todo]
+        tail, log_tail = _tls_tail(nu, tk)
+        miss = np.where((tail >= _TINY) & (sk >= _TINY), np.log(tail / sk), log_tail - log_sk)
+        r = -tk * np.exp(log_pdf(Tls(0.0, 1.0, nu), tk) - log_tail)
+        x = miss / r
+        step = x * np.clip(1.0 - 0.5 * x * (1.0 + r - (nu + 1.0) / (1.0 + nu / (tk * tk))), 0.5, 1.5)
+        t[todo] = tk * np.exp(step)
+        todo = todo[(np.abs(step) > 1e-6) & (np.abs(miss) > 8.0 * _EPS * (1.0 - log_sk))]
     raise ArithmeticError(f"t quantile took more than {_QUANTILE_STEPS} steps")
 
 
+@_elementwise
 def quantile(d: DistSpec, p):
     """Inverse cdf. p must lie strictly inside (0, 1)."""
-    arr, scalar = _split(p)
-    if not np.all((arr > 0) & (arr < 1)):  # also rejects NaN
+    if not np.all((p > 0) & (p < 1)):  # also rejects NaN
         raise ValueError("quantile requires 0 < p < 1")
     if isinstance(d, Tls):
         # Solved in the smaller tail and mirrored, so q(1 - p) == -q(p).
-        t = _tls_lower_quantile(d.nu, np.minimum(arr, 1.0 - arr).reshape(-1)).reshape(arr.shape)
-        out = d.mu + d.sigma * np.where(arr > 0.5, -t, t)
-    elif isinstance(d, Gev):
-        out = d.mu + d.sigma * np.expm1(-d.zeta * np.log(-np.log(arr))) / d.zeta
-    elif isinstance(d, Exponential):
-        out = -d.mu * np.log1p(-arr)
-    elif isinstance(d, Normal):
-        out = d.mu + d.sigma * _ndtri(arr)
-    else:
-        raise TypeError(f"not a distribution spec: {d!r}")
-    return _join(out, scalar)
+        t = _tls_lower_quantile(d.nu, np.minimum(p, 1.0 - p).reshape(-1)).reshape(p.shape)
+        return d.mu + d.sigma * np.where(p > 0.5, -t, t)
+    if isinstance(d, Gev):
+        return d.mu + d.sigma * np.expm1(-d.zeta * np.log(-np.log(p))) / d.zeta
+    if isinstance(d, Exponential):
+        return -d.mu * np.log1p(-p)
+    return d.mu + d.sigma * _ndtri(p)
 
 
 def sample_stream(d: DistSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n values by inverse transform from an existing generator."""
     u = rng.random(n)
     np.maximum(u, _U_MIN, out=u)  # random() yields [0, 1); keep strictly inside
-    return np.asarray(quantile(d, u), dtype=float)
+    return quantile(d, u)
 
 
 def sample(d: DistSpec, seed: int, n: int) -> np.ndarray:

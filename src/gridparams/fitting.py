@@ -304,8 +304,7 @@ def kl_divergence(hist: Histogram, d: DistSpec) -> KlScore:
     """
     counts = np.asarray(hist.counts, dtype=float)
     p = counts / counts.sum()
-    with np.errstate(over="ignore"):  # (edge - mu) / sigma may overflow; cdf takes its limit
-        q = np.maximum(np.diff(cdf(d, np.asarray(hist.edges, dtype=float))), _Q_FLOOR)
+    q = np.maximum(np.diff(cdf(d, hist.edges)), _Q_FLOOR)
     mask = p > 0
     d_kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     if d_kl < -1e-12:

@@ -218,8 +218,10 @@ def calibrate_reactance_tls(
         prev = m_hi
         sigma_hi *= 2.0
 
-    for _ in range(500):
-        sigma = 0.5 * (sigma_lo + sigma_hi)
+    # Bisect until the bracket is two adjacent floats (m_hi is the last residual if it starts
+    # so). It is one point, solved by its midpoint, where mass(sigma_hi) is the fraction exactly.
+    m = m_hi
+    while sigma_lo < (sigma := 0.5 * (sigma_lo + sigma_hi)) < sigma_hi or sigma_lo == sigma_hi:
         m = mass(sigma)
         if abs(m - band.fraction) <= _CALIBRATION_TOL:
             return CalibratedTls(dist=Tls(mu=mu, sigma=sigma, nu=nu), residual=abs(m - band.fraction))

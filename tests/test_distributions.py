@@ -818,6 +818,82 @@ def test_tls_with_an_integer_nu_is_the_float_nu():
     assert np.array_equal(quantile(Tls(0, 1, 5), [1e-8, 0.3]), quantile(Tls(0.0, 1.0, 5.0), [1e-8, 0.3]))
 
 
+# ------------------------------------------- the four functions' shared contract
+
+
+_ONE_OF_EACH = [Tls(0.5, 2.0, 3.0), Gev(0.5, 2.0, 0.2), Exponential(2.0), Normal(0.5, 2.0)]
+_FUNCTIONS = [log_pdf, pdf, cdf, quantile]
+# x inside and outside each support, and p inside (0, 1) for quantile.
+_POINTS = {"x": np.array([[-20.0, -1.0, 0.0], [0.75, 3.0, 50.0]]),
+           "p": np.array([[1e-300, 0.01, 0.25], [0.5, 0.9, 1.0 - 2.0 ** -53]])}
+
+
+@pytest.mark.parametrize("fn", _FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("d", _ONE_OF_EACH, ids=family_tag)
+def test_a_scalar_gives_a_float_and_an_array_keeps_its_shape_and_bits(fn, d):
+    points = _POINTS["p" if fn is quantile else "x"]
+    for x in (float(points[0, 2]), np.array(points[0, 2])):
+        assert type(fn(d, x)) is float
+    for arr in (points[1], points):
+        out = fn(d, arr)
+        assert isinstance(out, np.ndarray) and out.shape == arr.shape
+        assert [float(v).hex() for v in out.flat] == [fn(d, float(v)).hex() for v in arr.flat]
+
+
+@pytest.mark.parametrize("fn", _FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("not_a_spec", [None, {"mu": 0.0, "sigma": 1.0}, (0.0, 1.0)], ids=["None", "dict", "tuple"])
+def test_anything_but_a_spec_is_a_type_error(fn, not_a_spec):
+    with pytest.raises(TypeError, match="not a distribution spec"):
+        fn(not_a_spec, 0.5)
+
+
+def test_a_subclass_of_a_family_is_not_a_spec():
+    # As family_tag, and so to_json, already had it: a spec is an instance of one of the four types.
+    class Shifted(Normal):
+        pass
+
+    for fn in _FUNCTIONS:
+        with pytest.raises(TypeError, match="not a distribution spec"):
+            fn(Shifted(0.0, 1.0), 0.5)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_SIGNED = st.sampled_from([-1.0, 1.0])
+_MU, _SIGMA = st.floats(-1e300, 1e300), _log_uniform(1e-300, 1e300)
+_SPECS_ACROSS_FLOAT_RANGE = st.one_of(
+    st.builds(Tls, mu=_MU, sigma=_SIGMA, nu=_log_uniform(1e-5, 1e30)),
+    st.builds(Gev, mu=_MU, sigma=_SIGMA, zeta=st.builds(lambda s, z: s * z, _SIGNED, _log_uniform(1e-6, 10.0))),
+    st.builds(Exponential, mu=_SIGMA),
+    st.builds(Normal, mu=_MU, sigma=_SIGMA),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    d=_SPECS_ACROSS_FLOAT_RANGE,
+    x=st.one_of(st.floats(-1.7e308, 1.7e308), st.just(0.0), st.floats(-_TINY, _TINY)),
+    p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), _log_uniform(1e-320, 0.5)),
+)
+@example(d=Gev(0.0, 1e-300, -0.5), x=-1e300, p=0.5)  # log_pdf was NaN: the density there is 0
+@example(d=Tls(0.0, 1e-300, 3.0), x=1e300, p=0.5)  # (x - mu)/sigma overflowed with a warning
+@example(d=Gev(0.0, 1e300, 1.5), x=0.0, p=1.0 - 2.0 ** -53)  # quantiles past float range warned
+@example(d=Tls(0.0, 1e300, 3.0), x=0.0, p=1e-300)
+def test_the_four_functions_are_total_on_valid_specs(d, x, p):
+    # The suite makes every warning an error, so this also asserts that none is raised.
+    values = [log_pdf(d, x), pdf(d, x), cdf(d, x), quantile(d, p)]
+    assert not any(math.isnan(v) for v in values), values
+    assert 0.0 <= values[2] <= 1.0
+    assert values[1] >= 0.0
+
+
+def test_quantiles_past_float_range_are_infinite():
+    assert quantile(Gev(0.0, 1e300, 1.5), 1.0 - 2.0 ** -53) == math.inf
+    assert quantile(Tls(0.0, 1e300, 3.0), 1e-300) == -math.inf
+
+
 # ---------------------------------------------------------------- sampling
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridparams.distributions import Gev, Normal, cdf
+from gridparams.distributions import Gev, Normal, Tls, cdf
 from gridparams.ingest import (
     BranchKind,
     BranchRecord,
@@ -28,6 +28,7 @@ from gridparams.profiles import (
 from gridparams.sampler import (
     DEFAULT_LINE_REACTANCE_MEAN,
     PARAMS_CSV_HEADER,
+    CalibratedTls,
     SyntheticBranchParams,
     SyntheticTable,
     calibrate_reactance_tls,
@@ -110,20 +111,42 @@ def test_calibration_unachievable_fraction():
         calibrate_reactance_tls(fake)
 
 
+def _band_entry(median, lo, hi, fraction):
+    entry = _band_target()
+    return ReferenceEntry(kind=entry.kind, class_kv=entry.class_kv, summary=SummaryRef(median=median),
+                          band=BandRef(lo=lo, hi=hi, fraction=fraction), family=entry.family)
+
+
 def test_calibration_halves_the_scale_until_the_band_mass_is_reached():
     # The band is 1e50 times wider than the median's gap to its lower edge, so
     # the mass first reaches the fraction about 220 halvings down.
-    entry = _band_target()
     lo = math.nextafter(1.0, 0.0)
-    fake = ReferenceEntry(
-        kind=entry.kind,
-        class_kv=entry.class_kv,
-        summary=SummaryRef(median=1.0),
-        band=BandRef(lo=lo, hi=1e50, fraction=0.9),
-        family=entry.family,
-    )
-    d = calibrate_reactance_tls(fake).dist
+    d = calibrate_reactance_tls(_band_entry(1.0, lo, 1e50, 0.9)).dist
     assert float(cdf(d, 1e50) - cdf(d, lo)) == pytest.approx(0.9, abs=1e-6)
+
+
+def test_calibration_bisects_a_bracket_of_many_orders_of_magnitude():
+    # The bracket runs from sigma = 6.8e-17 to 5e299: 500 halvings of it
+    # stopped short with a residual of 0.4, and the bisection now ends only
+    # when the bracket is two adjacent floats.
+    lo = math.nextafter(1.0, 0.0)
+    cal = calibrate_reactance_tls(_band_entry(1.0, lo, 1e300, 0.9))
+    assert cal.residual <= 1e-6
+    assert float(cdf(cal.dist, 1e300) - cdf(cal.dist, lo)) == pytest.approx(0.9, abs=1e-6)
+
+
+def test_calibration_solves_at_a_one_point_bracket():
+    # The first guess, half the band width, has the band fraction as its mass exactly.
+    sigma = 0.5 * (0.2 - 0.05)
+    edges = cdf(Tls(0.1291, sigma, 3.0), np.array([0.05, 0.2]))
+    cal = calibrate_reactance_tls(_band_entry(0.1291, 0.05, 0.2, float(edges[1] - edges[0])))
+    assert cal == CalibratedTls(Tls(0.1291, sigma, 3.0), 0.0)
+
+
+def test_calibration_that_cannot_reach_the_tolerance_reports_the_last_residual():
+    # sigma_lo = 5e-324 and sigma_hi = 1e-323 are adjacent from the start.
+    with pytest.raises(ArithmeticError, match=r"tolerance 1e-06; last residual 0\.191002"):
+        calibrate_reactance_tls(_band_entry(1e-323, 0.0, 2e-323, 0.8))
 
 
 def test_calibration_unachievable_truncated_infimum():

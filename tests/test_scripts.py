@@ -1,4 +1,4 @@
-"""The example scripts run end to end against the package."""
+"""The example scripts run end to end against the package, with warnings as errors."""
 
 import os
 import subprocess
@@ -23,8 +23,8 @@ def test_script_exits_0(tmp_path, script, args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     argv = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / script), *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
