@@ -44,7 +44,8 @@ class CollectedSamples:
     transformer_triples maps class_kv to (x_own, x_common, mva) arrays for
     correlation analyses. rejected and reasons are filter_valid's rejected
     rows and reason codes. suspect_counts tallies autotransformer suspects
-    in the transformer samples.
+    in the transformer samples. All three maps are keyed in class-table
+    order: ascending kV, then ParameterKind order (transformer kinds first).
     """
 
     values: dict[tuple[ParameterKind, float], np.ndarray]
@@ -67,10 +68,10 @@ def collect_samples(
 
     Transformers contribute own-base reactance (rebased by their rating),
     rating, and X/R; lines contribute common-base reactance, capacity, and
-    X/R. Records matching no voltage class are counted, not errors.
+    X/R. Records matching no voltage class are counted, not errors; a
+    classified one whose X/R or own-base reactance overflows is a ValueError.
 
-    Works on whole columns. Each sample keeps record order, and dict keys
-    appear in the order of the first record that fills them.
+    Works on whole columns. Samples keep record order, keys class-table order.
     """
     classes = voltage_class_table(class_kvs)
     outcome = filter_valid(table, rating_bounds)
@@ -79,41 +80,36 @@ def collect_samples(
     cls = _voltage_class_index(table, transformer, classes)
     classified = cls >= 0
 
-    bad_base = np.flatnonzero(transformer & classified & ~(table.system_mva_base > 0))
-    if bad_base.size:
-        _require("system_mva_base", table.system_mva_base[bad_base[0]].item())
     # Lines may carry any finite base; their x_own is computed and unused.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xr = table.x_pu / table.r_pu
         x_own = table.x_pu * (table.mva_rating / table.system_mva_base)
+    own_ok = (table.system_mva_base > 0) & np.isfinite(x_own)
+    bad = np.flatnonzero(classified & ~(np.isfinite(xr) & (own_ok | ~transformer)))
+    if bad.size:  # the first such row, as a loop over the records would meet it
+        i = bad[0]
+        if transformer[i]:
+            _require("system_mva_base", table.system_mva_base[i].item())
+        name, v = ("X/R", xr[i]) if not np.isfinite(xr[i]) else ("own-base reactance", x_own[i])
+        raise ValueError(f"branch {table.ids[i]!r}: {name} is not finite ({v})")
 
-    # One group of rows per (class, transformer or line), filled in order
-    # of the group's first row, as a loop over the records would fill them.
-    groups = []
-    for i in range(len(classes)):
-        in_class = cls == i
-        for is_transformer, mask in ((True, in_class & transformer), (False, in_class & ~transformer)):
-            rows = np.flatnonzero(mask)
-            if rows.size:
-                groups.append((rows[0], classes[i], is_transformer, rows))
     values: dict[tuple[ParameterKind, float], np.ndarray] = {}
     triples: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for _, kv, is_transformer, rows in sorted(groups, key=lambda g: g[0]):
-        x, mva = table.x_pu[rows], table.mva_rating[rows]
-        if is_transformer:
-            own = x_own[rows]
+    for i, kv in enumerate(classes):
+        rows = np.flatnonzero((cls == i) & transformer)
+        if rows.size:
+            own, x, mva = x_own[rows], table.x_pu[rows], table.mva_rating[rows]
             values[(ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, kv)] = own
             values[(ParameterKind.TRANSFORMER_MVA_RATING, kv)] = mva
             values[(ParameterKind.TRANSFORMER_XR, kv)] = xr[rows]
             triples[kv] = (own, x, mva)
-        else:
-            values[(ParameterKind.LINE_REACTANCE_COMMON_BASE, kv)] = x
-            values[(ParameterKind.LINE_CAPACITY, kv)] = mva
+        rows = np.flatnonzero((cls == i) & ~transformer)
+        if rows.size:
+            values[(ParameterKind.LINE_REACTANCE_COMMON_BASE, kv)] = table.x_pu[rows]
+            values[(ParameterKind.LINE_CAPACITY, kv)] = table.mva_rating[rows]
             values[(ParameterKind.LINE_XR, kv)] = xr[rows]
 
-    flagged, first_flagged, n_flagged = np.unique(
-        cls[suspect & classified], return_index=True, return_counts=True
-    )
+    flagged = np.bincount(cls[suspect & classified], minlength=len(classes))
     return CollectedSamples(
         values=values,
         transformer_triples=triples,
@@ -121,7 +117,7 @@ def collect_samples(
         rejected=outcome.rejected,
         reasons=outcome.reasons,
         unclassified=int(np.count_nonzero(~classified)),
-        suspect_counts={classes[flagged[j]]: int(n_flagged[j]) for j in np.argsort(first_flagged)},
+        suspect_counts={kv: int(n) for kv, n in zip(classes, flagged) if n},
     )
 
 

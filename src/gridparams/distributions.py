@@ -180,6 +180,8 @@ def _gev_support(d: Gev, arr):
     """(log_s, inside) for s = 1 + zeta*(x - mu)/sigma and inside = s > 0; log_s is
     log1p(zeta*(x - mu)/sigma), exact as zeta nears 0, and 0.0 outside."""
     zz = d.zeta * (arr - d.mu) / d.sigma
+    if np.isinf(zz).any():  # where zeta*(x - mu) overflowed, divide first
+        zz = np.where(np.isinf(zz), d.zeta * ((arr - d.mu) / d.sigma), zz)
     inside = zz > -1.0
     return np.log1p(np.where(inside, zz, 0.0)), inside
 

@@ -30,6 +30,7 @@ from .distributions import (
     family_tag,
     log_pdf,
     n_params,
+    _gev_support,
     _tls_constants,
 )
 from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
@@ -211,17 +212,14 @@ def _tls_objective(d: Tls, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _gev_objective(d: Gev, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(-log-likelihood as log_pdf sums it, its gradient in (mu, log sigma, zeta)), or
-    (_PENALTY, zeros) where it is not finite. The value rounds zeta*(x - mu)/sigma
-    as log_pdf does, the gradient zeta*((x - mu)/sigma) as the score always has."""
-    xm = x - d.mu
-    zz = d.zeta * xm / d.sigma
-    if not np.all(zz > -1.0):
+    (_PENALTY, zeros) where it is not finite; the gradient rounds zeta*((x - mu)/sigma)."""
+    log_s, inside = _gev_support(d, x)
+    if not inside.all():
         return _PENALTY, np.zeros(3)
-    log_s = np.log1p(zz)
     ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta)))
     if not math.isfinite(ll):
         return _PENALTY, np.zeros(3)
-    z = xm / d.sigma
+    z = (x - d.mu) / d.sigma
     s = 1.0 + (zeta_z := d.zeta * z)
     log_s = np.log1p(zeta_z)  # not log(s): zeta may be as small as _MIN_ZETA
     t = np.exp(-log_s / d.zeta)

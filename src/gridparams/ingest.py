@@ -546,10 +546,9 @@ def assign_voltage_class(
 
 def _voltage_class_index(table: BranchTable, transformer: np.ndarray, classes) -> np.ndarray:
     """assign_voltage_class over a table: per row, the index in classes of
-    the first matching class, or -1 when none matches."""
+    the matching class (at most one: classes do not overlap), or -1."""
     kv = np.where(transformer, np.maximum(table.from_kv, table.to_kv), table.from_kv)
     index = np.full(kv.shape, -1)
-    # Last class first, so that the first matching class is the one left.
-    for i, nominal_kv in reversed(list(enumerate(classes))):
+    for i, nominal_kv in enumerate(classes):
         index[_in_class(kv, nominal_kv)] = i
     return index

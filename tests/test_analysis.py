@@ -1,5 +1,6 @@
 """Record-to-sample collection and per-class correlation bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,36 @@ def test_collect_transformer_triples_and_suspects():
     np.testing.assert_allclose(sorted(xr), [3.2, 25.0])
 
 
+def test_collected_maps_run_in_class_table_order():
+    records = [
+        _line(0, kv=230.0),
+        _xfmr(0, x=0.32, r=0.1, rating=70.0),  # X/R = 3.2: autotransformer suspect
+        _xfmr(1, kv=230.0, x=0.32, r=0.1),
+        _line(1),
+        _xfmr(2, x=0.32, r=0.1, rating=50.0),
+    ]
+    out = collect_samples(BranchTable.from_records(records))
+    assert list(out.values) == [(kind, kv) for kv in (115.0, 230.0) for kind in ParameterKind]
+    assert list(out.transformer_triples) == [115.0, 230.0]
+    assert list(out.suspect_counts.items()) == [(115.0, 2), (230.0, 1)]
+    # each sample keeps record order
+    assert list(out.values[(ParameterKind.TRANSFORMER_MVA_RATING, 115.0)]) == [70.0, 50.0]
+
+
+@pytest.mark.parametrize("record, message", [
+    (_line(0, x=1e10, r=1e-300), "branch 'l0': X/R is not finite (inf)"),
+    (_xfmr(0, x=1e10, r=1e-300), "branch 't0': X/R is not finite (inf)"),
+    (dataclasses.replace(_xfmr(0), system_mva_base=1e-307), "branch 't0': own-base reactance is not finite (inf)"),
+])
+def test_collect_names_the_first_row_past_float_range(record, message):
+    # A line's own-base reactance is unused, so its overflow is no error.
+    records = [_line(1, kv=345.0, x=1e10, r=1e-300), dataclasses.replace(_line(2), system_mva_base=1e-307),
+               record, _line(3, x=1e10, r=1e-300)]
+    with pytest.raises(ValueError) as got:
+        collect_samples(BranchTable.from_records(records))
+    assert str(got.value) == message
+
+
 def test_observed_stats_band_needs_profile_entry():
     records = [_xfmr(i, x=0.02 + 0.01 * i) for i in range(20)]
     out = collect_samples(BranchTable.from_records(records))
@@ -158,7 +189,7 @@ def test_decorrelation_omits_degenerate_classes():
 def _reference_collect(records, class_kvs, rating_bounds, threshold):
     """The per-record loop that collect_samples replaces, built from the
     scalar rule functions: (reasons by id, values, triples, kept,
-    unclassified, suspects)."""
+    unclassified, suspects), the three maps in class-table order."""
     classes = voltage_class_table(class_kvs)
     kept, reasons = [], {}
     for r in records:
@@ -175,8 +206,11 @@ def _reference_collect(records, class_kvs, rating_bounds, threshold):
             unclassified += 1
             continue
         xr = xr_ratio(r.r_pu, r.x_pu)
+        x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating) if is_transformer(kind) else 0.0
+        for name, v in (("X/R", xr), ("own-base reactance", x_own)):
+            if not math.isfinite(v):
+                raise ValueError(f"branch {r.id!r}: {name} is not finite ({v})")
         if is_transformer(kind):
-            x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating)
             pushes = [
                 (ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, x_own),
                 (ParameterKind.TRANSFORMER_MVA_RATING, r.mva_rating),
@@ -194,8 +228,10 @@ def _reference_collect(records, class_kvs, rating_bounds, threshold):
             ]
         for param, v in pushes:
             values.setdefault((param, kv), []).append(v)
-    values = {k: np.asarray(v, dtype=float) for k, v in values.items()}
-    triples = {kv: tuple(np.asarray(c, dtype=float) for c in cols) for kv, cols in triples.items()}
+    values = {(p, kv): np.asarray(values[(p, kv)], dtype=float)
+              for kv in classes for p in ParameterKind if (p, kv) in values}
+    triples = {kv: tuple(np.asarray(c, dtype=float) for c in triples[kv]) for kv in classes if kv in triples}
+    suspects = {kv: suspects[kv] for kv in classes if kv in suspects}
     return reasons, values, triples, len(kept), unclassified, suspects
 
 

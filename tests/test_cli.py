@@ -604,6 +604,22 @@ def test_fit_reports_a_sample_no_family_admits(tmp_path):
     assert cell == "unfittable: no family admits this sample"
 
 
+@pytest.mark.parametrize("first, message", [
+    ("l1,1,2,115,115,1e-300,1e10,100,0,100", "error: branch 'l1': X/R is not finite (inf)\n"),
+    ("t1,1,2,115,13.8,0.002,0.05,60,1,1e-307", "error: branch 't1': own-base reactance is not finite (inf)\n"),
+])
+@pytest.mark.parametrize("command", ["analyze", "fit", "validate", "hist"])
+def test_a_row_past_float_range_fails_every_ingest_command(tmp_path, command, first, message):
+    # Every field is finite and positive, so the row passes the filter.
+    branches = tmp_path / "big.csv"
+    branches.write_text(",".join(CSV_HEADER) + f"\n{first}\n"
+                        "l2,3,4,115,115,0.002,0.01,100,0,100\nl3,5,6,115,115,0.003,0.02,120,0,100\n")
+    out = tmp_path / "out"
+    code, err = _run_quietly([command, "--branches", str(branches), "--out", str(out)])
+    assert (code, err) == (1, message)
+    assert not out.exists()
+
+
 def test_validate_rejects_unknown_fitted_fields(tmp_path):
     case = tmp_path / "case3.m"
     case.write_text(CASE3)

@@ -894,6 +894,15 @@ def test_quantiles_past_float_range_are_infinite():
     assert quantile(Tls(0.0, 1e300, 3.0), 1e-300) == -math.inf
 
 
+def test_gev_divides_first_where_the_product_overflows():
+    # zeta*(x - mu) = 1e309 is past float range, zeta*((x - mu)/sigma) = 1e9 is not:
+    # the cdf read 1.0 and log_pdf -inf when the product was taken first.
+    d, s = Gev(0.0, 1e300, 10.0), 1.0 + 1e9
+    assert cdf(d, 1e308) == pytest.approx(math.exp(-s ** -0.1), rel=1e-15)  # 0.8817095891765213
+    expected = -math.log(1e300) - 1.1 * math.log(s) - s ** -0.1  # -713.6970128611216
+    assert log_pdf(d, 1e308) == pytest.approx(expected, rel=1e-15)
+
+
 # ---------------------------------------------------------------- sampling
 
 

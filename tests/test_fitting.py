@@ -239,6 +239,8 @@ def test_gev_score_matches_central_differences(seed, n, zeta, shift, log_scale):
 @example(x=np.array([-1.5, 0.0, 1.0]), d=Gev(0.0, 1.0, 0.5))
 # Inside the support, where exp(-log(s)/zeta) overflows.
 @example(x=np.array([0.0, 1e6]), d=Gev(0.0, 1.0, -1e-3))
+# zeta*(x - mu) overflows, zeta*((x - mu)/sigma) does not: the log-likelihood is finite.
+@example(x=np.array([1e308]), d=Gev(0.0, 1e300, 10.0))
 def test_objectives_return_the_negative_log_likelihood(x, d):
     objective = fitting._tls_objective if isinstance(d, Tls) else fitting._gev_objective
     with np.errstate(all="ignore"):  # as in the fits, which run the objectives
