@@ -2,7 +2,7 @@
 
 Transformers: MVA rating, own-base reactance, and X/R are drawn from
 three mutually independent streams (SeedSequence(seed).spawn(3), in that
-fixed order), each truncated to its profile range by rejection. The
+fixed order), each truncated to its profile range by inversion. The
 independence of the own-base draws is the modeling choice that makes
 common-base reactance anticorrelate with rating after conversion, while
 own-base reactance stays uncorrelated.
@@ -25,14 +25,13 @@ from itertools import chain
 
 import numpy as np
 
-from .distributions import DistSpec, Exponential, Tls, _require, cdf, sample_stream
+from .distributions import _U_MIN, DistSpec, Exponential, Tls, _require, cdf, quantile
 from .ingest import BranchKind, BranchTable, _csv_text
 from .profiles import ParameterKind, ReferenceEntry, lookup
 
 __all__ = [
     "DEFAULT_LINE_REACTANCE_MEAN",
     "DEFAULT_TLS_NU",
-    "MAX_REJECTION_ROUNDS",
     "SyntheticBranchParams",
     "SyntheticTable",
     "CalibratedTls",
@@ -51,7 +50,9 @@ DEFAULT_LINE_REACTANCE_MEAN = 0.02 / math.log(10.0)
 #: Shape for calibrated reactance distributions: moderately heavy tails.
 DEFAULT_TLS_NU = 3.0
 
-MAX_REJECTION_ROUNDS = 1000
+#: Least mass of a truncation interval, in spacings of the floats at F(hi): draws on a
+#: thinner interval would sit on a visible grid of the representable p.
+_MIN_MASS_SPACINGS = 2.0 ** 20
 
 _CALIBRATION_TOL = 1e-6
 
@@ -250,30 +251,22 @@ def _needs(entry: ReferenceEntry, value, what: str):
 
 
 def _sample_truncated(
-    d: DistSpec,
-    rng: np.random.Generator,
-    n: int,
-    lo: float,
-    hi: float,
-    entry: ReferenceEntry,
-    *,
-    closed_lo: bool,
+    d: DistSpec, rng: np.random.Generator, n: int, lo: float, hi: float, entry: ReferenceEntry
 ) -> np.ndarray:
-    """n draws of d from rng, redrawn until each lies in [lo, hi] when
-    closed_lo, else in (lo, hi]; entry names the profile entry on failure."""
-    out = sample_stream(d, rng, n)
-    for _ in range(MAX_REJECTION_ROUNDS):
-        below = out < lo if closed_lo else out <= lo
-        bad = below | (out > hi)
-        k = int(np.count_nonzero(bad))
-        if k == 0:
-            return out
-        out[bad] = sample_stream(d, rng, k)
-    raise RuntimeError(
-        f"rejection sampling for {entry.kind.value} at {entry.class_kv:g} kV exceeded "
-        f"{MAX_REJECTION_ROUNDS} rounds; "
-        "the profile distribution and its truncation interval are inconsistent"
-    )
+    """n draws of d from rng restricted to (lo, hi], by inversion: one uniform u per
+    draw (u >= 2**-53, as sample_stream draws it) and quantile(F(lo) + u (F(hi) - F(lo))),
+    clamped into (lo, hi]. Draw i uses only the i-th uniform. ValueError names entry
+    when the interval is too thin to sample."""
+    f_lo, f_hi = cdf(d, np.array([lo, hi], dtype=float)).tolist()
+    if not f_hi - f_lo >= _MIN_MASS_SPACINGS * np.spacing(f_hi):
+        raise ValueError(
+            f"{entry.kind.value} at {entry.class_kv:g} kV: the interval ({lo!r}, {hi!r}] holds "
+            f"mass {f_hi - f_lo:.3g} under {d}, too little to sample"
+        )
+    u = rng.random(n)
+    np.maximum(u, _U_MIN, out=u)
+    p = np.clip(f_lo + u * (f_hi - f_lo), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return np.clip(quantile(d, p), np.nextafter(lo, math.inf), hi)
 
 
 def _spawn_streams(seed: int, k: int) -> list[np.random.Generator]:
@@ -293,7 +286,7 @@ def generate_transformers(
     """Draw n transformer parameter sets for one voltage class.
 
     Streams (fixed order): rating, own-base reactance, X/R. Rating is
-    truncated to the profile's full range; reactance and X/R to (0, max].
+    truncated to the profile's (min, max]; reactance and X/R to (0, max].
     Resistance follows as reactance / X/R; common-base values follow from
     the rating and the system base.
     """
@@ -314,9 +307,9 @@ def generate_transformers(
     calibrated = calibrate_reactance_tls(x_entry, nu, truncate_to=(0.0, x_max))
 
     rng_mva, rng_x, rng_xr = _spawn_streams(seed, 3)
-    mva = _sample_truncated(mva_dist, rng_mva, n, mva_lo, mva_hi, mva_entry, closed_lo=True)
-    x_own = _sample_truncated(calibrated.dist, rng_x, n, 0.0, x_max, x_entry, closed_lo=False)
-    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, xr_max, xr_entry, closed_lo=False)
+    mva = _sample_truncated(mva_dist, rng_mva, n, mva_lo, mva_hi, mva_entry)
+    x_own = _sample_truncated(calibrated.dist, rng_x, n, 0.0, x_max, x_entry)
+    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, xr_max, xr_entry)
 
     r_own = x_own / xr_draw
     return SyntheticTable(
@@ -327,8 +320,8 @@ def generate_transformers(
 
 
 def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTable:
-    """Draw n line parameter sets: exponential common-base reactance,
-    normal capacity and X/R truncated positive.
+    """Draw n line parameter sets: exponential common-base reactance and
+    normal capacity and X/R, each truncated positive.
 
     Streams (fixed order): reactance, capacity, X/R. A reactance entry
     without parameters falls back to DEFAULT_LINE_REACTANCE_MEAN; capacity
@@ -345,10 +338,9 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTabl
     xr_dist = _needs(xr_entry, xr_entry.fitted, "fitted parameters")
 
     rng_x, rng_cap, rng_xr = _spawn_streams(seed, 3)
-    # Inverse-transform exponential draws are already strictly positive.
-    x = sample_stream(x_dist, rng_x, n)
-    cap = _sample_truncated(cap_dist, rng_cap, n, 0.0, math.inf, cap_entry, closed_lo=False)
-    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, math.inf, xr_entry, closed_lo=False)
+    x = _sample_truncated(x_dist, rng_x, n, 0.0, math.inf, x_entry)
+    cap = _sample_truncated(cap_dist, rng_cap, n, 0.0, math.inf, cap_entry)
+    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, math.inf, xr_entry)
 
     r = x / xr_draw
     return SyntheticTable(

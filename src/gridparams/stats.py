@@ -169,9 +169,9 @@ def spearman(xs, ys) -> float:
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array, ties given the mean of their ranks
-    (scipy.stats.rankdata's "average" method)."""
-    order = np.argsort(a, kind="stable")
+    """1-based ranks of a 1-D array, ties given the mean of their ranks (scipy.stats.rankdata's
+    "average" method): the order inside a tie cannot change a rank, so any argsort will do."""
+    order = np.argsort(a)
     ordered = a[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     ends = np.append(starts[1:], a.size)

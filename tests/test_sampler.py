@@ -1,13 +1,15 @@
 """Reactance calibration and synthetic parameter generation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridparams.distributions import Gev, Normal, Tls, cdf
+from gridparams import sampler
+from gridparams.distributions import Exponential, Gev, Normal, Tls, cdf, quantile, sample_stream
 from gridparams.ingest import (
     BranchKind,
     BranchRecord,
@@ -225,23 +227,120 @@ def test_generate_transformers_rejects_bad_n():
         generate_transformers(115.0, 0, seed=0, profile=builtin_profile(), system_mva_base=100.0)
 
 
+def _with_115kv_mva_range(lo, hi):
+    """The builtin profile with the 115 kV MVA rating summary's range set to [lo, hi]."""
+    return [
+        dataclasses.replace(e, summary=SummaryRef(median=lo, min=lo, max=hi))
+        if e.kind is ParameterKind.TRANSFORMER_MVA_RATING and e.class_kv == 115.0 else e
+        for e in builtin_profile()
+    ]
+
+
 def test_rejection_cap_trips():
-    # an MVA summary whose range is a hairline sliver forces endless redraws
-    profile = []
-    for e in builtin_profile():
-        if e.kind is ParameterKind.TRANSFORMER_MVA_RATING and e.class_kv == 115.0:
-            e = ReferenceEntry(
-                kind=e.kind,
-                class_kv=e.class_kv,
-                summary=SummaryRef(
-                    median=3000.0, min=3000.0, max=3000.0000001
-                ),
-                family=e.family,
-                fitted=e.fitted,
-            )
-        profile.append(e)
-    with pytest.raises(RuntimeError, match="TransformerMvaRating"):
+    # an MVA summary whose range is a hairline sliver holds about 38 representable p values
+    profile = _with_115kv_mva_range(3000.0, 3000.0000001)
+    with pytest.raises(ValueError, match="TransformerMvaRating"):
         generate_transformers(115.0, 100, seed=1, profile=profile, system_mva_base=100.0)
+
+
+def test_a_far_tail_rating_range_is_sampled_in_one_pass():
+    # (1e5, 2e5] holds mass 3.4e-9 under the 115 kV GEV, about 3e7 representable
+    # p values: enough to draw 10,000 ratings inside it in one pass.
+    table = generate_transformers(115.0, 10_000, seed=1, profile=_with_115kv_mva_range(1e5, 2e5),
+                                  system_mva_base=100.0)
+    assert len(table) == 10_000
+    assert np.all((table.mva_rating > 1e5) & (table.mva_rating <= 2e5))
+    assert np.unique(table.mva_rating).size > 9_900
+
+
+def test_the_sampler_has_no_round_cap():
+    assert not hasattr(sampler, "MAX_REJECTION_ROUNDS")
+    assert "MAX_REJECTION_ROUNDS" not in sampler.__all__
+
+
+def _ks_statistic(a, b):
+    """The two-sample Kolmogorov-Smirnov distance between the empirical cdfs of a and b."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+def test_own_base_reactance_matches_rejection_sampling():
+    # The reference redraws until each value lands in (0, max], from an independent
+    # stream. Both samples follow the same truncated law, so sqrt(n/2) D follows the
+    # Kolmogorov distribution, and P(D > bound) is about 2 exp(-n bound**2) = 1e-6.
+    n = 100_000
+    entry = _band_target()
+    d = calibrate_reactance_tls(entry, truncate_to=(0.0, entry.summary.max)).dist
+    rng = np.random.default_rng(20261020)
+    reference = sample_stream(d, rng, n)
+    while (bad := (reference <= 0.0) | (reference > entry.summary.max)).any():
+        reference[bad] = sample_stream(d, rng, int(bad.sum()))
+    drawn = generate_transformers(115.0, n, seed=7, profile=builtin_profile(), system_mva_base=100.0).x_pu_own
+    bound = math.sqrt(math.log(2.0 / 1e-6) / n)
+    assert _ks_statistic(drawn, reference) < bound
+
+
+# Parameters keep every scale within a few orders of magnitude of 1.
+_families = st.one_of(
+    st.builds(Tls, st.floats(-10.0, 10.0), st.floats(0.1, 10.0), st.floats(1.0, 30.0)),
+    st.builds(Gev, st.floats(-10.0, 10.0), st.floats(0.1, 10.0),
+              st.floats(-0.5, 0.5).filter(lambda z: abs(z) > 1e-3)),
+    st.builds(Exponential, st.floats(0.01, 100.0)),
+    st.builds(Normal, st.floats(-10.0, 10.0), st.floats(0.1, 10.0)),
+)
+
+
+@st.composite
+def _intervals(draw):
+    """(d, lo, hi): a family and an interval with mass at least 1e-3 under it,
+    each end infinite, at 0, or a quantile of d."""
+    d = draw(_families)
+    p_lo = draw(st.floats(0.0, 0.9))
+    p_hi = draw(st.floats(p_lo + 0.01, 1.0))
+    lo = draw(st.sampled_from([-math.inf, 0.0, float(quantile(d, p_lo)) if p_lo > 0 else -math.inf]))
+    hi = draw(st.sampled_from([math.inf, float(quantile(d, p_hi)) if p_hi < 1 else math.inf]))
+    assume(float(cdf(d, hi) - cdf(d, lo)) >= 1e-3)
+    return d, lo, hi
+
+
+_ENTRY = _band_target()
+
+
+class _ExtremeUniforms:
+    """A stand-in generator whose uniforms alternate between the least and the
+    greatest that Generator.random yields: they map to the ends of the interval."""
+
+    def random(self, n):
+        return np.resize([0.0, 1.0 - 2.0 ** -53], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_intervals(), st.integers(0, 2**63 - 1), st.integers(1, 300), st.data())
+def test_truncated_draws_lie_inside_and_split_into_blocks(interval, seed, n, data):
+    d, lo, hi = interval
+    whole = sampler._sample_truncated(d, np.random.default_rng(seed), n, lo, hi, _ENTRY)
+    assert whole.shape == (n,) and np.all((whole > lo) & (whole <= hi))
+    ends = sampler._sample_truncated(d, _ExtremeUniforms(), 2, lo, hi, _ENTRY)
+    assert np.all((ends > lo) & (ends <= hi))
+    # Draw i uses only the i-th uniform, so drawing in two blocks changes no bit.
+    k = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    parts = [sampler._sample_truncated(d, rng, m, lo, hi, _ENTRY) for m in (k, n - k)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families, st.floats(0.05, 0.95), st.integers(0, 16))
+def test_a_thin_interval_names_its_entry(d, p, ulps):
+    # lo and hi are at most 16 floats apart: far below the 2**20 spacings of F(hi) needed.
+    lo = float(quantile(d, p))
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    with pytest.raises(ValueError, match=r"^TransformerReactanceOwnBase at 115 kV: the interval"):
+        sampler._sample_truncated(d, np.random.default_rng(0), 10, lo, hi, _ENTRY)
 
 
 # ------------------------------------------------------------------- lines

@@ -211,3 +211,27 @@ def test_spearman_averages_ties():
 def test_average_ranks_equal_scipy_rankdata(values):
     arr = np.asarray(values, dtype=float)
     assert _average_ranks(arr).tobytes() == rankdata(arr).astype(float).tobytes()
+
+
+def _stable_average_ranks(a):
+    """_average_ranks as written with a stable argsort: the order kept inside a tie."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5, 7.0]), st.floats(allow_nan=False)),
+             min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3000),
+)
+def test_average_ranks_equal_a_stable_sort(pool, seed, n):
+    # Above 16 values numpy's default argsort is not stable, so long samples drawn
+    # from a small pool put many ties, signed zeros among them, through it.
+    arr = np.random.default_rng(seed).choice(np.array(pool), n)
+    assert _average_ranks(arr).tobytes() == _stable_average_ranks(arr).tobytes()
