@@ -299,16 +299,32 @@ def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
     return BranchTable(ids, **columns)
 
 
+_BLOCK_ROWS = 1 << 16
+
+
 def _csv_text(header, columns) -> str:
-    """The header line, then one line per row of the cell columns (iterables of str; floats as repr(), the
-    shortest round-trip text), each ending in a line feed. An iterator of columns frees them before the join."""
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    """The header line, then one line per row of the columns, each ending in a line feed: float64 arrays as
+    repr() (the shortest round-trip text), int64 arrays as str(), lists of str as they are. One %-template
+    formats _BLOCK_ROWS rows at a time; a float column whose cells all share their bits is written into it once."""
+    fields, varying = [], []
+    for col in columns:
+        spec = "%s" if isinstance(col, list) else "%d" if col.dtype.kind == "i" else "%r"
+        if spec == "%r" and col.size and ((bits := col.view(np.int64)) == bits[0]).all():
+            fields.append(repr(col[0].item()).replace("%", "%%"))
+        else:
+            fields.append(spec)
+            varying.append(col)
+    n, row, blocks = len(columns[0]), ",".join(fields) + "\n", [",".join(header) + "\n"]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        cells = [col[block] if isinstance(col, list) else col[block].tolist() for col in varying]
+        blocks.append(row * min(_BLOCK_ROWS, n - start) % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(blocks)
 
 
 def serialize_branch_csv(table: BranchTable) -> str:
     """Inverse of parse_branch_csv."""
-    cells = (map(f, getattr(table, name).tolist()) for f, name in zip([str] * 2 + [repr] * 7, _COLUMNS))
-    return _csv_text(CSV_HEADER, chain([table.ids], cells))
+    return _csv_text(CSV_HEADER, [table.ids, *(getattr(table, name) for name in _COLUMNS)])
 
 
 def _strip_matlab_comments(text: str) -> str:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -356,9 +355,9 @@ PARAMS_CSV_HEADER = "kind,class_kv,mva_rating,x_pu_own,r_pu_own,x_pu_common,r_pu
 def params_csv(table: SyntheticTable) -> str:
     """Plot-ready CSV of generated branches; own-base cells are empty for lines."""
     header = PARAMS_CSV_HEADER.split(",")
-    kinds = np.array([k.value for k in _KINDS])[table.kind].tolist()
-    floats = (map(repr, getattr(table, name).tolist()) for name in header[1:])
-    text = _csv_text(header, chain([kinds], floats))
+    names = [k.value for k in _KINDS]  # one str object per kind, shared by its rows
+    kinds = [names[k] for k in table.kind.tolist()]
+    text = _csv_text(header, [kinds, *(getattr(table, name) for name in header[1:])])
     # Own-base x and r are adjacent columns, NaN together on exactly the line
     # rows, and no other cell can be NaN: blank those cells in one pass.
     return text.replace(",nan,nan,", ",,,")
@@ -383,10 +382,10 @@ def params_to_branch_records(table: SyntheticTable, system_mva_base: float, *, l
         raise ValueError(f"lv_kv {lv_kv} must be below class_kv {table.class_kv[low[0]]}")
     n = len(table)
     kvs, inverse = np.unique(table.class_kv, return_inverse=True)
-    prefixes = np.array([f"{kind}{kv:g}-" for kv in kvs.tolist() for kind in "LT"])
-    row_prefixes = prefixes[2 * inverse.ravel() + xfmr].tolist()
+    prefixes = [f"{kind}{kv:g}-" for kv in kvs.tolist() for kind in "LT"]
+    codes = (2 * inverse.ravel() + xfmr).tolist()
     return BranchTable(
-        [f"{prefix}{i}" for i, prefix in enumerate(row_prefixes, 1)],
+        [f"{prefixes[c]}{i}" for i, c in enumerate(codes, 1)],
         from_bus=np.arange(1, 2 * n, 2), to_bus=np.arange(2, 2 * n + 1, 2),
         from_kv=table.class_kv, to_kv=np.where(xfmr, lv_kv, table.class_kv),
         r_pu=table.r_pu_common, x_pu=table.x_pu_common, mva_rating=table.mva_rating,

@@ -139,13 +139,14 @@ def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:
 
 def histogram_csv(hist: Histogram) -> str:
     """CSV rows `bin_lo,bin_hi,count,density` for external plotting."""
-    edges, counts, densities = hist.edges.tolist(), hist.counts.tolist(), hist.densities.tolist()
-    cells = (map(repr, edges[:-1]), map(repr, edges[1:]), map(str, counts), map(repr, densities))
-    return _csv_text(("bin_lo", "bin_hi", "count", "density"), cells)
+    columns = (hist.edges[:-1], hist.edges[1:], hist.counts, hist.densities)
+    return _csv_text(("bin_lo", "bin_hi", "count", "density"), columns)
 
 
 def _corr(dx: np.ndarray, dy: np.ndarray) -> float:
-    return float(np.dot(dx, dy) / math.sqrt(np.dot(dx, dx) * np.dot(dy, dy)))
+    # numpy's own pairwise sums, not np.dot: BLAS splits a long dot product
+    # across threads, and the last bits would follow the thread count.
+    return float(np.sum(dx * dy) / math.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
 
 
 def pearson(xs, ys) -> float:

@@ -762,6 +762,22 @@ def test_analyze_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert reports == json.loads(_ANALYZE_GOLDEN.read_text(encoding="utf-8"))
 
 
+def test_analyze_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # BLAS splits a long dot product across its threads, which moves the last
+    # bits of a correlation; the report must read the same with one or two.
+    fleet = tmp_path / "fleet.csv"
+    assert run(["generate", "--class", "115", "--n", "30000", "--seed", "3", "--emit", "branches",
+                "--out", str(fleet)]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"analyze-{threads}.json"
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = _gridparams("-m", "gridparams", "analyze", "--branches", str(fleet), "--out", str(out), env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 _FIT_GOLDEN = Path(__file__).parent / "data" / "fit_golden.json"
 
 

@@ -187,6 +187,47 @@ def test_serialize_branch_csv_matches_the_record_loop(rows):
     assert serialize_branch_csv(BranchTable.from_records(records)) == expected
 
 
+def _reference_csv_text(header, columns) -> str:
+    """ingest._csv_text one cell at a time: repr() per float, str() per int, each row joined by commas."""
+    cells = [col if isinstance(col, list) else map(repr if col.dtype.kind == "f" else str, col.tolist())
+             for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+# NaN and -NaN (and 0.0 and -0.0) share a text but not their bits.
+_odd_floats = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16])
+_int64s = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]), _buses)
+_percent_text = st.text(alphabet="%sdr(),a ", max_size=6)
+
+
+@st.composite
+def _csv_tables(draw):
+    """(header, columns): float64 and int64 arrays and lists of str, each column either one
+    repeated value or drawn cell by cell; no rows at all, sometimes."""
+    n = draw(st.integers(0, 9))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=6)):
+        cells = {"float": st.one_of(st.floats(), _odd_floats), "int": _int64s, "str": _percent_text}[kind]
+        if kind == "float" and draw(st.booleans()):
+            cells = st.sampled_from([0.0, -0.0])
+        if draw(st.booleans()):
+            values = [draw(cells)] * n
+        else:
+            values = draw(st.lists(cells, min_size=n, max_size=n))
+        columns.append(values if kind == "str" else np.array(values, dtype=np.float64 if kind == "float" else np.int64))
+    header = draw(st.lists(_percent_text, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@pytest.mark.parametrize("block_rows", [ingest._BLOCK_ROWS, 3])
+@given(_csv_tables())
+def test_csv_text_matches_the_cell_by_cell_join(block_rows, table):
+    # With three rows a block, most drawn tables span several blocks.
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        assert ingest._csv_text(*table) == _reference_csv_text(*table)
+
+
 def test_parse_branch_csv_names_the_line_of_a_byte_that_is_not_utf8():
     data = (",".join(CSV_HEADER) + "\n" + GOOD_ROW + "\n").encode() + b"t\xff2,1,2\n"
     with pytest.raises(ParseError, match="0xff is not valid UTF-8") as exc:
