@@ -130,6 +130,7 @@ _FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", 
 _INT_FIELDS = ("from_bus", "to_bus")
 _COLUMNS = CSV_HEADER[1:]
 _INT64 = np.iinfo(np.int64)
+_SIGNED_DIGITS = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 class BranchTable(Sequence):
@@ -280,8 +281,11 @@ def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
                 raise ParseError(f"expected {width} fields, got {len(row)}", line=line)
             for name in _INT_FIELDS:
                 raw = row[index[name]].strip()
+                # int() counts leading zeros against sys.get_int_max_str_digits(), numpy does not: drop
+                # them, and keep at most 20 significant digits, which are past int64 already.
+                digits = _SIGNED_DIGITS.fullmatch(raw)
                 try:
-                    value = int(raw)
+                    value = int(digits[1] + digits[2][:20] if digits else raw)
                 except ValueError:
                     raise ParseError(f"column {name!r}: not an integer: {raw!r}", line=line) from None
                 if not _INT64.min <= value <= _INT64.max:
@@ -300,6 +304,7 @@ def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
 
 
 _BLOCK_ROWS = 1 << 16
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _csv_text(header, columns) -> str:
@@ -323,8 +328,12 @@ def _csv_text(header, columns) -> str:
 
 
 def serialize_branch_csv(table: BranchTable) -> str:
-    """Inverse of parse_branch_csv."""
-    return _csv_text(CSV_HEADER, [table.ids, *(getattr(table, name) for name in _COLUMNS)])
+    """Inverse of parse_branch_csv for ids without surrounding whitespace, which the reader
+    strips. An id holding a comma, a quote, CR or LF is wrapped in quotes, each quote doubled."""
+    ids = table.ids
+    if _NEEDS_QUOTES.search("".join(ids)):
+        ids = ['"%s"' % i.replace('"', '""') if _NEEDS_QUOTES.search(i) else i for i in ids]
+    return _csv_text(CSV_HEADER, [ids, *(getattr(table, name) for name in _COLUMNS)])
 
 
 def _strip_matlab_comments(text: str) -> str:

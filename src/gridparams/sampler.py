@@ -156,26 +156,18 @@ class CalibratedTls:
         _require("residual", self.residual, ">= 0")
 
 
-def _band_mass(d: Tls, lo: float, hi: float, truncate_to) -> float:
-    # One cdf call for every edge: each call runs a continued fraction.
-    edges = cdf(d, np.array([lo, hi, *(truncate_to or ())], dtype=float))
-    mass = float(edges[1] - edges[0])
-    return mass if truncate_to is None else mass / float(edges[3] - edges[2])
-
-
 def calibrate_reactance_tls(
     target: ReferenceEntry,
     nu: float = DEFAULT_TLS_NU,
     *,
-    truncate_to: tuple[float, float] | None = None,
+    truncate_to: tuple[float, float] = (-math.inf, math.inf),
 ) -> CalibratedTls:
     """Solve for the t location-scale distribution with location at the
-    target's median whose mass on the target band equals the band
-    fraction within _CALIBRATION_TOL.
-
-    With truncate_to=(lo, hi), the calibrated quantity is the band mass
-    conditional on landing inside the truncation interval, matching what
-    a truncated sampler actually produces.
+    target's median whose band mass equals the band fraction within
+    _CALIBRATION_TOL. The band mass is the mass of the band's part inside
+    the truncation window truncate_to=(lo, hi], conditional on the window,
+    which is what a sampler truncated to it draws. The default window is
+    the whole line, where this is the plain mass on the band.
     """
     if not nu > 1:
         raise ValueError(f"nu must be > 1, got {nu}")
@@ -186,34 +178,37 @@ def calibrate_reactance_tls(
             f"band [{band.lo}, {band.hi}] must contain the median {mu} "
             "for the band mass to be solvable in the scale"
         )
-    if truncate_to is not None:
-        t_lo, t_hi = truncate_to
-        if not t_lo < mu < t_hi:
-            raise ValueError(f"truncation interval ({t_lo}, {t_hi}] must contain the median {mu}")
+    t_lo, t_hi = truncate_to
+    if not t_lo < mu < t_hi:
+        raise ValueError(f"truncation interval ({t_lo}, {t_hi}] must contain the median {mu}")
     if not 0.0 < band.fraction < 1.0:
         raise ValueError(
             f"band fraction {band.fraction} is unachievable: the achievable "
             "supremum is 1 (open) and the infimum is above 0"
         )
+    # One cdf call for every edge: each call runs a continued fraction. The
+    # cdf is exactly 0 and 1 at -inf and inf, so the default window divides by 1.
+    edges = np.array([max(band.lo, t_lo), min(band.hi, t_hi), t_lo, t_hi], dtype=float)
 
     def mass(sigma: float) -> float:
-        return _band_mass(Tls(mu=mu, sigma=sigma, nu=nu), band.lo, band.hi, truncate_to)
+        f = cdf(Tls(mu=mu, sigma=sigma, nu=nu), edges)
+        return float(f[1] - f[0]) / float(f[3] - f[2])
 
-    # Mass shrinks as the scale grows (band contains the location), so
-    # bracket by scaling sigma in both directions, then bisect. Halving
+    # Mass shrinks as the scale grows (the band's part in the window contains
+    # the location), so bracket by scaling sigma both ways, then bisect. Halving
     # ends: once every edge lies ~1e16 scales from the median, the mass rounds to 1.
     sigma_lo = sigma_hi = 0.5 * (band.hi - band.lo)
     while mass(sigma_lo) < band.fraction:
         sigma_lo /= 2.0
-    # Conditional mass levels off at a positive limit under truncation, so
-    # watch for a plateau (or precision loss) instead of doubling blindly; the
-    # change per doubling shrinks geometrically, so that test ends the loop.
+    # Conditional mass levels off at a positive limit under truncation, so watch
+    # for a plateau instead of doubling blindly; the change per doubling shrinks
+    # geometrically, so that test ends the loop.
     prev = math.inf
     while (m_hi := mass(sigma_hi)) > band.fraction:
-        if not 0.0 <= m_hi <= 1.0 or abs(m_hi - prev) <= 1e-12:
+        if abs(m_hi - prev) <= 1e-12:
             raise ValueError(
                 f"band fraction {band.fraction} is below the achievable infimum "
-                f"{min(prev, 1.0):.6f} for nu={nu} under truncation {truncate_to}"
+                f"{prev:.6f} for nu={nu} under truncation {truncate_to}"
             )
         prev = m_hi
         sigma_hi *= 2.0

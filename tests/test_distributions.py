@@ -889,6 +889,13 @@ def test_the_four_functions_are_total_on_valid_specs(d, x, p):
     assert values[1] >= 0.0
 
 
+@settings(max_examples=500, deadline=None)
+@given(_SPECS_ACROSS_FLOAT_RANGE)
+def test_cdf_is_exactly_0_and_1_at_the_infinities(d):
+    # The reactance calibration divides by the mass of its default window (-inf, inf], which must be 1.0 exactly.
+    assert cdf(d, np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+
+
 def test_quantiles_past_float_range_are_infinite():
     assert quantile(Gev(0.0, 1e300, 1.5), 1.0 - 2.0 ** -53) == math.inf
     assert quantile(Tls(0.0, 1e300, 3.0), 1e-300) == -math.inf

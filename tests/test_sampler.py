@@ -184,6 +184,31 @@ def test_calibration_requires_median_inside_band():
         calibrate_reactance_tls(fake)
 
 
+_LOG_UNIFORM = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=_LOG_UNIFORM,
+    band=st.tuples(_LOG_UNIFORM, _LOG_UNIFORM),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    window=st.tuples(*[st.one_of(st.just(math.inf), _LOG_UNIFORM)] * 2),
+    nu=st.sampled_from([1.5, 3.0, 30.0]),
+)
+def test_calibration_solves_the_conditional_mass_of_the_band_inside_the_window(mu, band, fraction, window, nu):
+    # Band and window reach mu times a factor below and above the median; each
+    # side of the window may lie inside the band, outside it or at infinity.
+    lo, hi = mu - mu * band[0], mu + mu * band[1]
+    t_lo, t_hi = mu - mu * window[0], mu + mu * window[1]
+    try:
+        cal = calibrate_reactance_tls(_band_entry(mu, lo, hi, fraction), nu, truncate_to=(t_lo, t_hi))
+    except (ValueError, ArithmeticError):
+        return
+    assert cal.dist.mu == mu and cal.dist.nu == nu
+    f = [float(cdf(cal.dist, x)) for x in (max(lo, t_lo), min(hi, t_hi), t_lo, t_hi)]
+    assert abs((f[1] - f[0]) / (f[3] - f[2]) - fraction) <= 1e-6
+
+
 # ------------------------------------------------------------- transformers
 
 
@@ -264,6 +289,21 @@ def _ks_statistic(a, b):
     fa = np.searchsorted(np.sort(a), grid, side="right") / a.size
     fb = np.searchsorted(np.sort(b), grid, side="right") / b.size
     return float(np.abs(fa - fb).max())
+
+
+@pytest.mark.parametrize("x_max", [0.19, 0.15])
+def test_a_band_past_the_reactance_max_is_generated_on_target(x_max):
+    # The window (0, x_max] cuts the band [0.05, 0.2]. Dividing the whole band's
+    # mass by the window's gave a band fraction of 0.7687 at 0.19, and a mass
+    # above 1 that failed the calibration at 0.15.
+    band = _band_target().band
+    profile = [
+        dataclasses.replace(e, summary=dataclasses.replace(e.summary, max=x_max))
+        if e.kind is ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE and e.class_kv == 115.0 else e
+        for e in builtin_profile()
+    ]
+    x = generate_transformers(115.0, 200_000, seed=2, profile=profile, system_mva_base=100.0).x_pu_own
+    assert np.mean((x >= band.lo) & (x <= band.hi)) == pytest.approx(band.fraction, abs=0.003)
 
 
 def test_own_base_reactance_matches_rejection_sampling():
