@@ -24,7 +24,7 @@ from .ingest import (
     voltage_class_table,
 )
 from .profiles import ObservedClassStats, ParameterKind, lookup
-from .stats import Binning, FreedmanDiaconis, _average_ranks, band_fraction, histogram, pearson, summarize
+from .stats import _average_ranks, band_fraction, histogram, pearson, summarize
 
 __all__ = [
     "CollectedSamples",
@@ -74,22 +74,25 @@ def collect_samples(
     Works on whole columns. Samples keep record order, keys class-table order.
     """
     classes = voltage_class_table(class_kvs)
-    outcome = filter_valid(table, rating_bounds)
-    table = outcome.kept
+    codes = filter_valid(table, rating_bounds)
+    kept = codes < 0
     transformer, suspect = _transformer_masks(table, autotransformer_xr_threshold)
-    cls = _voltage_class_index(table, transformer, classes)
+    cls = np.where(kept, _voltage_class_index(table, transformer, classes), -1)
     classified = cls >= 0
 
-    # Lines may carry any finite base; their x_own is computed and unused.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # Lines may carry any finite base; their x_own is computed and unused, as are rejected rows'.
+    with np.errstate(all="ignore"):
         xr = table.x_pu / table.r_pu
         x_own = table.x_pu * (table.mva_rating / table.system_mva_base)
     own_ok = (table.system_mva_base > 0) & np.isfinite(x_own)
     bad = np.flatnonzero(classified & ~(np.isfinite(xr) & (own_ok | ~transformer)))
     if bad.size:  # the first such row, as a loop over the records would meet it
         i = bad[0]
-        if transformer[i]:
-            _require("system_mva_base", table.system_mva_base[i].item())
+        try:
+            if transformer[i]:
+                _require("system_mva_base", table.system_mva_base[i].item())
+        except ValueError as exc:
+            raise ValueError(f"branch {table.ids[i]!r}: {exc}") from None
         name, v = ("X/R", xr[i]) if not np.isfinite(xr[i]) else ("own-base reactance", x_own[i])
         raise ValueError(f"branch {table.ids[i]!r}: {name} is not finite ({v})")
 
@@ -113,10 +116,10 @@ def collect_samples(
     return CollectedSamples(
         values=values,
         transformer_triples=triples,
-        kept=len(table),
-        rejected=outcome.rejected,
-        reasons=outcome.reasons,
-        unclassified=int(np.count_nonzero(~classified)),
+        kept=int(np.count_nonzero(kept)),
+        rejected=table.take(~kept),
+        reasons=codes[~kept],
+        unclassified=int(np.count_nonzero(kept & ~classified)),
         suspect_counts={kv: int(n) for kv, n in zip(classes, flagged) if n},
     )
 
@@ -125,7 +128,7 @@ def observed_stats(
     collected: CollectedSamples,
     profile=None,
     *,
-    binning: Binning = FreedmanDiaconis(),
+    bins="fd",
 ) -> dict[tuple[ParameterKind, float], ObservedClassStats]:
     """Summarize every collected sample. Band fractions are computed for
     entries whose profile declares a band; degenerate (constant) samples
@@ -133,7 +136,7 @@ def observed_stats(
     out = {}
     for (kind, kv), arr in collected.values.items():
         try:
-            hist = histogram(arr, binning)
+            hist = histogram(arr, bins)
         except ValueError:
             hist = None
         frac = None

@@ -43,7 +43,7 @@ from .sampler import (
     params_csv,
     params_to_branch_records,
 )
-from .stats import FixedCount, FreedmanDiaconis, histogram, histogram_csv
+from .stats import _bins, histogram, histogram_csv
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -140,10 +140,8 @@ def _parse_classes(text: str) -> tuple[float, ...]:
 
 
 def _binning(text: str):
-    if text == "fd":
-        return FreedmanDiaconis()
     try:
-        return FixedCount(int(text))
+        return _bins(text if text == "fd" else int(text))
     except ValueError:
         raise ValueError(f"--bins expects 'fd' or an integer >= 2, got {text!r}") from None
 
@@ -212,13 +210,13 @@ def _cmd_analyze(args, inputs: dict, class_kvs, collected) -> int:
     return 0
 
 
-def _fit_cell(arr, binning):
+def _fit_cell(arr, bins):
     """fit's cell for one sample: "no data", "unfittable: ...", or the
     scored fits with the best family."""
     if arr is None:
         return "no data"
     try:
-        scored = fit_and_score(arr, binning=binning)
+        scored = fit_and_score(arr, bins=bins)
     except ValueError as exc:
         return f"unfittable: {exc}"
     if not scored:
@@ -233,8 +231,8 @@ def _fit_cell(arr, binning):
 
 
 def _cmd_fit(args, inputs: dict, class_kvs, collected) -> int:
-    binning = _binning(args.bins)
-    fits = _by_class(class_kvs, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), binning))
+    bins = _binning(args.bins)
+    fits = _by_class(class_kvs, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), bins))
     _report({"fits": fits}, inputs, args.out)
     return 0
 
@@ -246,7 +244,7 @@ def _cmd_validate(args, inputs: dict, class_kvs, collected) -> int:
         thresholds = thresholds_from_dict(
             json.loads(decode_utf8(_read_input(args.thresholds, inputs)))
         )
-    observed = observed_stats(collected, profile, binning=_binning(args.bins))
+    observed = observed_stats(collected, profile, bins=_binning(args.bins))
     decorr = spearman_own_by_class(decorrelation_stats(collected))
 
     report = validate(observed, profile, thresholds, transformer_decorrelation=decorr)
@@ -269,7 +267,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
-    binning = _binning(args.bins)
+    bins = _binning(args.bins)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +276,7 @@ def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
         collected.values.items(), key=lambda item: (item[0][0].value, item[0][1])
     ):
         try:
-            hist = histogram(arr, binning)
+            hist = histogram(arr, bins)
         except ValueError:
             continue
         path = out_dir / f"{kind.value}_{kv:g}.csv"

@@ -33,7 +33,7 @@ from .distributions import (
     _gev_support,
     _tls_constants,
 )
-from .stats import Binning, FreedmanDiaconis, Histogram, as_sample, histogram
+from .stats import Histogram, _scale_free, as_sample, histogram
 
 __all__ = [
     "FitResult",
@@ -92,7 +92,7 @@ def _clamp_zeta(zeta: float) -> float:
 def _fit_exponential(x: np.ndarray) -> FitResult:
     if np.min(x) < 0:
         raise ValueError("exponential family requires non-negative values")
-    mu = float(np.mean(x))
+    mu = _scale_free(np.mean, x)
     if mu <= 0:
         raise ValueError("exponential fit needs a positive sample mean")
     d = Exponential(mu=mu)
@@ -102,10 +102,10 @@ def _fit_exponential(x: np.ndarray) -> FitResult:
 def _fit_normal(x: np.ndarray) -> FitResult:
     if x.size < 2:
         raise ValueError("normal fit needs at least 2 values")
-    sigma = float(np.std(x))
+    sigma = _scale_free(np.std, x)
     if sigma <= 0:
         raise ValueError("normal fit is degenerate on a constant sample")
-    d = Normal(mu=float(np.mean(x)), sigma=sigma)
+    d = Normal(mu=_scale_free(np.mean, x), sigma=sigma)
     return FitResult(d, _loglik(d, x), x.size, converged=True, iterations=0)
 
 
@@ -114,7 +114,7 @@ def _scale_guess(x: np.ndarray) -> float:
     iqr = float(q75 - q25)
     if iqr > 0:
         return iqr / 1.349
-    sd = float(np.std(x))
+    sd = _scale_free(np.std, x)
     if sd > 0:
         return sd
     raise ValueError("cannot fit a scale family to a constant sample")
@@ -256,7 +256,7 @@ def _fit_tls(x: np.ndarray) -> FitResult:
 def _fit_gev(x: np.ndarray) -> FitResult:
     if x.size < 3:
         raise ValueError("GEV fit needs at least 3 values")
-    sigma0 = float(np.std(x)) * math.sqrt(6.0) / math.pi
+    sigma0 = _scale_free(np.std, x) * math.sqrt(6.0) / math.pi
     if sigma0 <= 0:
         raise ValueError("cannot fit a scale family to a constant sample")
 
@@ -266,7 +266,7 @@ def _fit_gev(x: np.ndarray) -> FitResult:
     # Moment-style start at the Gumbel limit (Euler-Mascheroni shift). The
     # support of zeta = 0.1 starts at mu0 - 10 sigma0; below a lower outlier
     # past that, zeta starts where the support holds twice the outlier's gap.
-    mu0 = float(np.mean(x)) - 0.5772 * sigma0
+    mu0 = _scale_free(np.mean, x) - 0.5772 * sigma0
     gap = mu0 - float(np.min(x))
     start = [mu0, math.log(sigma0), 0.5 * sigma0 / gap if gap >= 10.0 * sigma0 else 0.1]
     res = _fit_scored(x, make, _gev_objective, start, sigma0)
@@ -327,14 +327,12 @@ def select_best(scored) -> tuple[FitResult, KlScore]:
     )
 
 
-def fit_and_score(
-    values, *, binning: Binning = FreedmanDiaconis(), hist: Histogram | None = None
-) -> list[tuple[FitResult, KlScore]]:
+def fit_and_score(values, *, bins="fd", hist: Histogram | None = None) -> list[tuple[FitResult, KlScore]]:
     """Fit every family to the sample and score each against one shared
-    histogram: hist if given, else the sample's under binning. Families
+    histogram: hist if given, else the sample's histogram(x, bins). Families
     whose support cannot hold the sample (ValueError from fit_mle) are skipped."""
     x = as_sample(values)
-    hist = histogram(x, binning) if hist is None else hist
+    hist = histogram(x, bins) if hist is None else hist
     out = []
     for family in FAMILIES:
         try:

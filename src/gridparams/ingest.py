@@ -31,7 +31,6 @@ __all__ = [
     "BranchTable",
     "BranchKind",
     "RejectReason",
-    "FilterOutcome",
     "CSV_HEADER",
     "DEFAULT_RATING_BOUNDS",
     "DEFAULT_CLASS_KVS",
@@ -183,13 +182,6 @@ class BranchTable(Sequence):
 
     def __repr__(self) -> str:
         return f"BranchTable({len(self)} rows)"
-
-
-@dataclass(frozen=True)
-class FilterOutcome:
-    kept: BranchTable
-    rejected: BranchTable  # in input order, like kept
-    reasons: np.ndarray  # int8; rejected row i's reason is tuple(RejectReason)[reasons[i]]
 
 
 def decode_utf8(data: bytes) -> str:
@@ -496,9 +488,9 @@ def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None
     return None
 
 
-def filter_valid(table: BranchTable, rating_bounds: tuple[float, float] = DEFAULT_RATING_BOUNDS) -> FilterOutcome:
-    """Drop abnormal branch rows: R <= 0, X <= 0, zero or extreme MVA ratings, and non-finite
-    fields, by the rules of _reject_reason applied to whole columns. Rejection is data, not an error."""
+def filter_valid(table: BranchTable, rating_bounds: tuple[float, float] = DEFAULT_RATING_BOUNDS) -> np.ndarray:
+    """One int8 code per row: -1 to keep it, else the index in tuple(RejectReason) of its first reason (R <= 0,
+    X <= 0, a zero or extreme MVA rating, a non-finite field): _reject_reason's rules on whole columns."""
     lo, hi = rating_bounds
     if not lo > 0:
         raise ValueError(f"rating_bounds minimum must be > 0, got {lo}")
@@ -509,9 +501,7 @@ def filter_valid(table: BranchTable, rating_bounds: tuple[float, float] = DEFAUL
     # One condition per RejectReason, in its order; np.select takes the first
     # true one, so a row's code is its first reason's index, or -1 if kept.
     rules = [table.r_pu <= 0, table.x_pu <= 0, mva == 0, (mva < lo) | (mva > hi), ~finite]
-    codes = np.select(rules, range(len(rules)), default=-1).astype(np.int8)
-    rejected = codes >= 0
-    return FilterOutcome(table.take(~rejected), table.take(rejected), codes[rejected])
+    return np.select(rules, range(len(rules)), default=-1).astype(np.int8)
 
 
 def classify_branch(record: BranchRecord, autotransformer_xr_threshold: float = 4.0) -> BranchKind:
@@ -530,14 +520,13 @@ def classify_branch(record: BranchRecord, autotransformer_xr_threshold: float = 
 def _transformer_masks(
     table: BranchTable, autotransformer_xr_threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """classify_branch over a filtered table:
-    boolean masks of the rows that are transformers (suspects included)
-    and of the suspects."""
-    hi_kv = np.maximum(table.from_kv, table.to_kv)
-    kv_differ = np.abs(table.from_kv - table.to_kv) > KV_TOLERANCE_FRAC * hi_kv
-    transformer = (table.tap_ratio != 0) | kv_differ
-    with np.errstate(over="ignore"):
+    """classify_branch over a table: boolean masks of the rows that are transformers (suspects
+    included) and of the suspects. Rows filter_valid rejects get masks too, of no meaning."""
+    with np.errstate(all="ignore"):  # a rejected row may hold a NaN, an inf or a zero R
+        hi_kv = np.maximum(table.from_kv, table.to_kv)
+        kv_differ = np.abs(table.from_kv - table.to_kv) > KV_TOLERANCE_FRAC * hi_kv
         low_xr = table.x_pu / table.r_pu < autotransformer_xr_threshold
+    transformer = (table.tap_ratio != 0) | kv_differ
     return transformer, transformer & low_xr
 
 

@@ -17,9 +17,6 @@ from .ingest import _csv_text
 __all__ = [
     "SummaryStats",
     "Histogram",
-    "FixedCount",
-    "FreedmanDiaconis",
-    "Binning",
     "summarize",
     "band_fraction",
     "histogram",
@@ -40,26 +37,7 @@ class SummaryStats:
     q90: float
 
 
-@dataclass(frozen=True)
-class FixedCount:
-    """Exactly k equal-width bins."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"bin count must be >= 2, got {self.k}")
-
-
-@dataclass(frozen=True)
-class FreedmanDiaconis:
-    """Freedman-Diaconis width 2*IQR/n^(1/3), bin count clamped to [10, 200]."""
-
-
 _FD_MIN_BINS, _FD_MAX_BINS = 10, 200
-
-
-Binning = FixedCount | FreedmanDiaconis
 
 
 @dataclass(frozen=True)
@@ -85,13 +63,26 @@ def as_sample(values) -> np.ndarray:
     return arr
 
 
+def _scale_free(f, *samples, degree: int = 1) -> float:
+    """float(f(*samples)) for an f with f(s * 2**k, ...) == f(s, ...) * 2**(degree * k), unchanged by scaling
+    its other samples (np.mean and np.std have degree 1, a correlation 0). Where numpy meets a floating-point
+    error, f runs on samples scaled by powers of two to below 1, then is scaled back: exact for normal floats."""
+    try:
+        with np.errstate(all="raise"):
+            return float(f(*samples))
+    except FloatingPointError:
+        exps = [int(np.frexp(np.max(np.abs(s)))[1]) for s in samples]
+        value = f(*(np.ldexp(s, -e) for s, e in zip(samples, exps)))
+        return math.ldexp(float(value), degree * exps[0])
+
+
 def summarize(values) -> SummaryStats:
     arr = as_sample(values)
     q10, med, q90 = np.quantile(arr, [0.10, 0.50, 0.90])
     return SummaryStats(
         n=arr.size,
         median=float(med),
-        mean=float(arr.mean()),
+        mean=_scale_free(np.mean, arr),
         min=float(arr.min()),
         max=float(arr.max()),
         q10=float(q10),
@@ -107,9 +98,18 @@ def band_fraction(values, lo: float, hi: float) -> float:
     return float(np.count_nonzero((arr >= lo) & (arr <= hi)) / arr.size)
 
 
-def _bin_count(arr: np.ndarray, binning: Binning) -> int:
-    if isinstance(binning, FixedCount):
-        return binning.k
+def _bins(bins):
+    """bins as histogram takes it: "fd", or an int >= 2 (numpy integers too); ValueError otherwise."""
+    if isinstance(bins, str) and bins == "fd":
+        return bins
+    if isinstance(bins, (int, np.integer)) and bins >= 2:
+        return int(bins)
+    raise ValueError(f"bins must be 'fd' or an integer >= 2, got {bins!r}")
+
+
+def _bin_count(arr: np.ndarray, bins) -> int:
+    if bins != "fd":
+        return bins
     span = float(arr.max() - arr.min())
     q25, q75 = np.quantile(arr, [0.25, 0.75])
     iqr = float(q75 - q25)
@@ -119,14 +119,16 @@ def _bin_count(arr: np.ndarray, binning: Binning) -> int:
     return max(_FD_MIN_BINS, math.ceil(span / width))
 
 
-def histogram(values, binning: Binning = FreedmanDiaconis()) -> Histogram:
+def histogram(values, bins="fd") -> Histogram:
+    """bins: "fd", the Freedman-Diaconis width 2*IQR/n^(1/3) with the count clamped to [10, 200]; or a count."""
+    bins = _bins(bins)
     arr = as_sample(values)
     if float(arr.min()) == float(arr.max()):
         raise ValueError(
             "all values identical; a zero-width histogram is degenerate, "
             "summarize the constant instead"
         )
-    k = _bin_count(arr, binning)
+    k = _bin_count(arr, bins)
     lo, hi = float(arr.min()), float(arr.max())
     # Bins narrower than the smallest normal float make count / (n * width)
     # overflow to inf; widen such a range so every density stays finite.
@@ -143,7 +145,11 @@ def histogram_csv(hist: Histogram) -> str:
     return _csv_text(("bin_lo", "bin_hi", "count", "density"), columns)
 
 
-def _corr(dx: np.ndarray, dy: np.ndarray) -> float:
+def _corr(x: np.ndarray, y: np.ndarray) -> float:
+    dx = x - x.mean()
+    dy = y - y.mean()
+    if not np.any(dx) or not np.any(dy):
+        raise ValueError("correlation is undefined for a constant series")
     # numpy's own pairwise sums, not np.dot: BLAS splits a long dot product
     # across threads, and the last bits would follow the thread count.
     return float(np.sum(dx * dy) / math.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
@@ -157,11 +163,7 @@ def pearson(xs, ys) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    if not np.any(dx) or not np.any(dy):
-        raise ValueError("correlation is undefined for a constant series")
-    return _corr(dx, dy)
+    return _scale_free(_corr, x, y, degree=0)
 
 
 def spearman(xs, ys) -> float:

@@ -206,7 +206,10 @@ def _reference_collect(records, class_kvs, rating_bounds, threshold):
             unclassified += 1
             continue
         xr = xr_ratio(r.r_pu, r.x_pu)
-        x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating) if is_transformer(kind) else 0.0
+        try:
+            x_own = to_own_base(r.x_pu, r.system_mva_base, r.mva_rating) if is_transformer(kind) else 0.0
+        except ValueError as exc:
+            raise ValueError(f"branch {r.id!r}: {exc}") from None
         for name, v in (("X/R", xr), ("own-base reactance", x_own)):
             if not math.isfinite(v):
                 raise ValueError(f"branch {r.id!r}: {name} is not finite ({v})")
@@ -291,14 +294,14 @@ def test_columnar_collect_equals_record_loop(records, class_kvs, rating_bounds, 
     reasons, values, triples, kept, unclassified, suspects = ref
     out = collect_samples(table, class_kvs, rating_bounds=rating_bounds,
                           autotransformer_xr_threshold=threshold)
-    outcome = filter_valid(table, rating_bounds)
+    codes = filter_valid(table, rating_bounds)
 
     assert out.reasons.dtype == np.int8
     rows = zip(out.rejected, out.reasons, strict=True)
     assert {r.id: tuple(RejectReason)[code] for r, code in rows} == reasons
     assert [repr(r) for r in out.rejected] == [repr(r) for r in records if r.id in reasons]
     assert len(out.rejected) + out.kept == len(records)
-    assert [repr(r) for r in outcome.kept] == [repr(r) for r in records if r.id not in reasons]
+    assert [repr(r) for r in table.take(codes < 0)] == [repr(r) for r in records if r.id not in reasons]
     assert list(out.values) == list(values)
     for key, arr in values.items():
         assert out.values[key].tobytes() == arr.tobytes()

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from gridparams.profiles import (
     lookup,
     serialize_profile_json,
 )
-from gridparams.stats import FixedCount
 
 CASE3 = """\
 function mpc = case3
@@ -676,7 +676,7 @@ def test_validate_bins_sets_the_bins_of_the_family_check(tmp_path):
         excess[bins] = finding["observed"]
     # The excess on the 5-bin histogram that KlCheck would use, computed directly.
     entry = lookup(builtin_profile(), ParameterKind.LINE_CAPACITY, 115.0)
-    scored = fit_and_score(np.arange(100.0, 300.0), binning=FixedCount(5))
+    scored = fit_and_score(np.arange(100.0, 300.0), bins=5)
     declared = next(s.d_kl for f, s in scored if family_tag(f.dist) == entry.family)
     assert excess["5"] == declared - select_best(scored)[1].d_kl
     assert excess["5"] != excess["fd"]
@@ -689,6 +689,73 @@ def test_fit_prints_no_warning_on_three_transformers(tmp_path):
     proc = _gridparams("-W", "error", "-m", "gridparams", "fit", "--branches", str(branches),
                        "--out", str(tmp_path / "fit.json"))
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+def _extreme_csv(rows) -> str:
+    return ",".join(CSV_HEADER) + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _five_transformers(scale):
+    return _extreme_csv(
+        (f"t{i}", 2 * i + 1, 2 * i + 2, 115, 13.8, x * scale / 20, x * scale, mva, 1, 100)
+        for i, (x, mva) in enumerate(zip((3, 5, 4, 7, 6), (50, 120, 80, 200, 150)))
+    )
+
+
+# Samples whose moments overflow or underflow unless the sample is rescaled first.
+_EXTREME = {
+    "big": _five_transformers(1e200),
+    "small": _five_transformers(1e-170),
+    "lines": _extreme_csv(
+        (f"l{i}", 2 * i + 1, 2 * i + 2, 138, 138, 1e306 * (1 + i / 30), 1e307 * (1 + i / 30), 100 + 5 * i, 0, 100)
+        for i in range(30)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME))
+def test_extreme_samples_give_finite_reports_without_a_warning(tmp_path, capsys, name):
+    branches = tmp_path / f"{name}.csv"
+    branches.write_text(_EXTREME[name])
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+
+    reports = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("analyze", "fit", "validate"):
+            out = tmp_path / f"{command}.json"
+            code = run([command, "--branches", str(branches), "--out", str(out)])
+            assert code in ((0, 2) if command == "validate" else (0,))
+            reports[command] = json.loads(out.read_text(), parse_constant=reject)
+        assert run(["hist", "--branches", str(branches), "--out", str(tmp_path / "hist")]) == 0
+    assert capsys.readouterr().err == ""
+    classes = reports["analyze"]["classes"]
+    if name == "lines":
+        mean = classes["138"]["LineReactanceCommonBase"]["mean"]
+        assert mean == pytest.approx(1e307 * (1 + 14.5 / 30), rel=1e-12)
+    else:  # the true values, the same for both scales
+        d = classes["115"]["decorrelation"]
+        assert d["pearson_own"] == pytest.approx(0.9931211200964818, abs=1e-12)
+        assert d["pearson_common"] == pytest.approx(0.9960065188076062, abs=1e-12)
+
+
+def test_analyze_of_rows_rejected_for_non_finite_kvs_or_zero_r_prints_nothing(tmp_path, capsys):
+    branches = tmp_path / "rejected.csv"
+    branches.write_text(_extreme_csv([
+        ("ok", 1, 2, 115, 13.8, 0.002, 0.04, 60, 1.0, 100),
+        ("inf", 3, 4, "inf", "inf", 0.002, 0.04, 60, 1.0, 100),
+        ("nan", 5, 6, "nan", 13.8, 0.002, 0.04, 60, 0.0, 100),
+        ("neg", 7, 8, 115, "-inf", 0.002, 0.04, 60, 0.0, 100),
+        ("r0", 9, 10, 115, 115, 0.0, 0.04, 60, 0.0, 100),
+        ("r0x0", 11, 12, 115, 13.8, 0.0, 0.0, 60, 1.0, 100),
+    ]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = _json_report(tmp_path, ["analyze", "--branches", str(branches)])
+    assert code == 0 and capsys.readouterr() == ("", "")
+    assert payload["filter"]["rejected"] == {"NonFinite": 3, "NonPositiveR": 2}
 
 
 def test_analyze_counts_rejections_by_reason_name(tmp_path):

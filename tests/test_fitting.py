@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridparams import fitting
@@ -18,7 +18,7 @@ from gridparams.fitting import (
     kl_divergence,
     select_best,
 )
-from gridparams.stats import FixedCount, Histogram, histogram
+from gridparams.stats import Histogram, histogram, pearson, summarize
 
 
 # ------------------------------------------------------------- closed forms
@@ -381,6 +381,7 @@ def test_no_converged_gev_fit_has_zeta_below_minus_one(seed, n, truth):
 
 
 _NONFINITE_SCORE = "the score is not finite at the fitted parameters"
+_BIG_OWN_BASE = [1.5e200, 6e200, 3.2e200, 1.4e201, 9e200]
 
 
 @pytest.mark.parametrize(
@@ -404,12 +405,36 @@ _NONFINITE_SCORE = "the score is not finite at the fitted parameters"
                  -355.8981771926956],
          FitResult(Tls(-8.691169999249492, 1.3380243535448332e-150, 0.0028759892218303924),
                    295.82646120085565, 5, False, 197, _NONFINITE_SCORE)),
+        # The own-base reactances of five 115 kV transformers at x_pu 3e200 to 7e200: the
+        # squared deviations of the normal fit's standard deviation overflow unless rescaled.
+        ("normal", _BIG_OWN_BASE,
+         FitResult(Normal(6.74e200, 4.435132467018319e200), -2317.1275730793955, 5, True, 0)),
+        ("exponential", _BIG_OWN_BASE, FitResult(Exponential(6.74e200), -2317.125392618667, 5, True, 0)),
     ],
 )
 def test_fits_raise_no_floating_point_warnings(family, values, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fit_mle(family, values) == expected
+
+
+_POSITIVE = st.lists(st.floats(min_value=1.0, max_value=2.0**20), min_size=2, max_size=40)
+
+
+@given(_POSITIVE, _POSITIVE, st.integers(-1040, 1020), st.integers(-1040, 1020))
+def test_moments_scale_exactly_with_the_sample(xs, ys, k, j):
+    # Scaling by a power of two is exact while every value stays a normal float, so the
+    # moments must scale exactly too, even where computing them directly would overflow.
+    n = min(len(xs), len(ys))
+    x, y = np.array(xs[:n]), np.array(ys[:n])
+    assume(len(set(xs[:n])) > 1 and len(set(ys[:n])) > 1)
+    for v, e in ((x, k), (y, j)):  # v * 2**e is normal: below 2**1024, at least 2**-1022
+        assume(math.frexp(v.max())[1] + e <= 1024 and math.frexp(v.min())[1] + e >= -1021)
+    x2, y2 = np.ldexp(x, k), np.ldexp(y, j)
+    assert pearson(x2, y2) == pearson(x, y)
+    assert summarize(x2).mean == math.ldexp(summarize(x).mean, k)
+    assert fit_mle("normal", x2).dist.sigma == math.ldexp(fit_mle("normal", x).dist.sigma, k)
+    assert fit_mle("exponential", x2).dist.mu == math.ldexp(fit_mle("exponential", x).dist.mu, k)
 
 
 # -------------------------------------------------------------- divergence
@@ -471,7 +496,7 @@ def test_kl_floors_vanishing_model_mass():
 def test_kl_large_sample_close_to_zero():
     d = Exponential(mu=3.0)
     xs = sample(d, seed=7, n=50000)
-    h = histogram(xs, FixedCount(40))
+    h = histogram(xs, 40)
     score = kl_divergence(h, d)
     assert score.d_kl < 0.05
 

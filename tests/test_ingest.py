@@ -724,11 +724,10 @@ def test_filter_reasons():
         _rec(id="huge", mva_rating=5000.0),
         _rec(id="nan", r_pu=math.nan),
     ]
-    out = filter_valid(BranchTable.from_records(records), rating_bounds=DEFAULT_RATING_BOUNDS)
-    assert [r.id for r in out.kept] == ["ok"]
-    assert isinstance(out.rejected, BranchTable) and out.reasons.dtype == np.int8
-    rows = zip(out.rejected, out.reasons, strict=True)
-    reasons = {rec.id: tuple(RejectReason)[code] for rec, code in rows}
+    codes = filter_valid(BranchTable.from_records(records), rating_bounds=DEFAULT_RATING_BOUNDS)
+    assert codes.dtype == np.int8 and codes.shape == (len(records),)
+    assert [rec.id for rec, code in zip(records, codes) if code == -1] == ["ok"]
+    reasons = {rec.id: tuple(RejectReason)[code] for rec, code in zip(records, codes) if code >= 0}
     assert reasons == {
         "bad_r": RejectReason.NON_POSITIVE_R,
         "bad_x": RejectReason.NON_POSITIVE_X,
@@ -736,7 +735,6 @@ def test_filter_reasons():
         "huge": RejectReason.EXTREME_RATING,
         "nan": RejectReason.NON_FINITE,
     }
-    assert len(out.kept) + len(out.rejected) == len(records)
 
 
 def test_reject_reasons_are_listed_in_rule_order():
@@ -746,29 +744,28 @@ def test_reject_reasons_are_listed_in_rule_order():
     ]
 
 
-def _only_reason(out):
-    assert len(out.rejected) == 1 and out.reasons.shape == (1,)
-    return tuple(RejectReason)[out.reasons[0]]
+def _only_reason(record):
+    [code] = filter_valid(BranchTable.from_records([record]))
+    assert code >= 0
+    return tuple(RejectReason)[code]
 
 
 def test_filter_reason_precedence():
     # r and x both bad: the resistance rule fires first
-    out = filter_valid(BranchTable.from_records([_rec(r_pu=-1.0, x_pu=-1.0)]))
-    assert _only_reason(out) == RejectReason.NON_POSITIVE_R
+    assert _only_reason(_rec(r_pu=-1.0, x_pu=-1.0)) == RejectReason.NON_POSITIVE_R
     # NaN rating falls through the comparisons to the finiteness rule
-    out = filter_valid(BranchTable.from_records([_rec(mva_rating=math.nan)]))
-    assert _only_reason(out) == RejectReason.NON_FINITE
+    assert _only_reason(_rec(mva_rating=math.nan)) == RejectReason.NON_FINITE
     # infinite rating is caught by the bound check, not the finiteness rule
-    out = filter_valid(BranchTable.from_records([_rec(mva_rating=math.inf)]))
-    assert _only_reason(out) == RejectReason.EXTREME_RATING
+    assert _only_reason(_rec(mva_rating=math.inf)) == RejectReason.EXTREME_RATING
 
 
 def test_filter_idempotent():
     records = [_rec(id=f"r{i}", x_pu=0.01 * (i + 1)) for i in range(5)]
-    once = filter_valid(BranchTable.from_records(records))
-    twice = filter_valid(once.kept)
-    assert list(twice.kept) == list(once.kept)
-    assert len(twice.rejected) == 0 and twice.reasons.shape == (0,)
+    records += [_rec(id="bad_x", x_pu=-0.1), _rec(id="nan", from_kv=math.nan)]
+    table = BranchTable.from_records(records)
+    kept = table.take(filter_valid(table) < 0)
+    assert [r.id for r in kept] == [f"r{i}" for i in range(5)]
+    assert filter_valid(kept).tolist() == [-1] * 5
 
 
 def test_filter_rejects_bad_bounds():

@@ -30,7 +30,7 @@ from gridparams.profiles import (
     validate,
 )
 from gridparams.sampler import SyntheticTable, generate_lines, generate_transformers, params_to_branch_records
-from gridparams.stats import FreedmanDiaconis, SummaryStats, band_fraction, histogram, summarize
+from gridparams.stats import SummaryStats, band_fraction, histogram, summarize
 
 
 def _summary(**kw):
@@ -44,7 +44,7 @@ def _stats(values, band=None, with_hist=True):
     hist = None
     if with_hist:
         try:
-            hist = histogram(arr, FreedmanDiaconis())
+            hist = histogram(arr, "fd")
         except ValueError:
             hist = None
     return ObservedClassStats(

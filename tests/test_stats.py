@@ -7,8 +7,6 @@ from scipy.stats import rankdata
 
 from gridparams.stats import (
     _average_ranks,
-    FixedCount,
-    FreedmanDiaconis,
     Histogram,
     band_fraction,
     histogram,
@@ -76,56 +74,64 @@ def test_band_fraction_requires_ordered_band():
 
 
 def test_histogram_fixed_count_example():
-    h = histogram([0.0, 1.0, 2.0, 3.0], FixedCount(2))
+    h = histogram([0.0, 1.0, 2.0, 3.0], 2)
     assert_allclose(h.edges, [0.0, 1.5, 3.0])
     assert list(h.counts) == [2, 2]
     assert_allclose(h.densities, [1 / 3, 1 / 3])
 
 
 def test_histogram_max_in_last_bin():
-    h = histogram([0.0, 1.0, 2.0], FixedCount(2))
+    h = histogram([0.0, 1.0, 2.0], 2)
     assert list(h.counts) == [1, 2]
 
 
 def test_histogram_degenerate_sample_errors():
     with pytest.raises(ValueError):
-        histogram([2.0, 2.0, 2.0], FixedCount(4))
+        histogram([2.0, 2.0, 2.0], 4)
 
 
-def test_fixed_count_needs_two_bins():
-    with pytest.raises(ValueError):
-        FixedCount(1)
+def test_histogram_takes_an_int_or_a_numpy_integer():
+    values = np.random.default_rng(5).normal(size=50)
+    a, b = histogram(values, 7), histogram(values, np.int64(7))
+    assert len(a.counts) == 7
+    assert [a.edges.tobytes(), a.counts.tobytes()] == [b.edges.tobytes(), b.counts.tobytes()]
+
+
+@pytest.mark.parametrize("bins", [1, 0, True, 2.5, "auto", None])
+def test_histogram_rejects_bins_other_than_fd_or_an_int_of_two_or_more(bins):
+    with pytest.raises(ValueError, match="bins must be 'fd' or an integer >= 2"):
+        histogram([0.0, 1.0, 2.0, 3.0], bins)
 
 
 def test_fd_binning_clamps_to_min():
     # tiny sample: FD width is wide, so the floor of 10 bins applies
-    h = histogram([0.0, 1.0, 2.0, 3.0], FreedmanDiaconis())
+    h = histogram([0.0, 1.0, 2.0, 3.0], "fd")
     assert len(h.counts) == 10
 
 
 def test_fd_binning_clamps_to_max_when_iqr_zero():
     values = [0.0] + [1.0] * 50 + [2.0]
-    h = histogram(values, FreedmanDiaconis())
+    h = histogram(values, "fd")
     assert len(h.counts) == 200
 
 
 def test_fd_binning_interior():
     rng = np.random.default_rng(3)
     values = rng.normal(size=4000)
-    h = histogram(values, FreedmanDiaconis())
+    h = histogram(values, "fd")
     assert 10 < len(h.counts) < 200
 
 
 @given(samples.filter(lambda v: len(set(v)) > 1))
 def test_histogram_density_integrates_to_one(values):
-    h = histogram(values, FixedCount(7))
+    h = histogram(values, 7)
     widths = np.diff(h.edges)
     assert float(np.sum(h.densities * widths)) == pytest.approx(1.0, abs=1e-9)
     assert h.n == len(values)
 
 
 def test_histogram_csv_format():
-    text = histogram_csv(histogram([0.0, 1.0, 2.0, 3.0], FixedCount(2)))
+    text = histogram_csv(histogram([0.0, 1.0, 2.0, 3.0], 2))
     lines = text.splitlines()
     assert lines[0] == "bin_lo,bin_hi,count,density"
     assert lines[1].split(",")[2] == "2"
@@ -161,7 +167,7 @@ def test_histogram_csv_matches_the_bin_loop(bins, first_edge):
 @given(st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 3e-308, 1.0, 1e16]), min_size=2, max_size=30), st.integers(2, 12))
 def test_histogram_csv_of_subnormal_and_huge_samples_matches_the_bin_loop(values, k):
     assume(min(values) < max(values))
-    hist = histogram(values, FixedCount(k))
+    hist = histogram(values, k)
     assert histogram_csv(hist) == _reference_histogram_csv(hist)
 
 
