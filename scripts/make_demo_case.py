@@ -9,6 +9,7 @@ Usage: python scripts/make_demo_case.py --out demo_fleet.csv --n 2000
 """
 
 import argparse
+import dataclasses
 import sys
 
 from gridparams.analysis import (
@@ -19,12 +20,7 @@ from gridparams.analysis import (
 )
 from gridparams.distributions import Normal
 from gridparams.ingest import serialize_branch_csv
-from gridparams.profiles import (
-    ParameterKind,
-    ReferenceEntry,
-    builtin_profile,
-    validate,
-)
+from gridparams.profiles import ParameterKind, builtin_profile, validate
 from gridparams.sampler import (
     SyntheticTable,
     generate_lines,
@@ -42,20 +38,8 @@ def line_capable_profile():
     generation needs concrete values from somewhere; these are round
     numbers for demonstration, not reference data.
     """
-    out = []
-    for e in builtin_profile():
-        if e.kind is ParameterKind.LINE_CAPACITY:
-            e = ReferenceEntry(
-                kind=e.kind, class_kv=e.class_kv, summary=e.summary,
-                band=e.band, family=e.family, fitted=Normal(180.0, 60.0),
-            )
-        elif e.kind is ParameterKind.LINE_XR:
-            e = ReferenceEntry(
-                kind=e.kind, class_kv=e.class_kv, summary=e.summary,
-                band=e.band, family=e.family, fitted=Normal(8.0, 3.0),
-            )
-        out.append(e)
-    return out
+    fitted = {ParameterKind.LINE_CAPACITY: Normal(180.0, 60.0), ParameterKind.LINE_XR: Normal(8.0, 3.0)}
+    return [dataclasses.replace(e, fitted=fitted.get(e.kind, e.fitted)) for e in builtin_profile()]
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -25,7 +26,7 @@ from .analysis import (
 )
 from .fitting import fit_and_score, select_best
 from .ingest import RejectReason, decode_utf8, parse_branch_csv, parse_matpower_case
-from .ingest import serialize_branch_csv
+from .ingest import serialize_branch_csv, voltage_class_table
 from .distributions import family_tag, to_json as dist_to_json
 from .profiles import (
     DEFAULT_THRESHOLDS,
@@ -48,31 +49,36 @@ from .stats import _bins, histogram, histogram_csv
 __all__ = ["main", "run", "build_parser"]
 
 
-def _seed_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
-    return value
+def _flag_type(expected: str, convert):
+    """An argparse type: convert(text), its ValueError a usage error naming what was expected, the text and why."""
+    def flag_type(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r} ({exc})") from None
+    return flag_type
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
-    return value
+def _int_in(lo: int, hi: float):
+    """A converter: int(text), a ValueError unless lo <= it < hi."""
+    def int_in(text: str) -> int:
+        if not lo <= (value := int(text)) < hi:
+            raise ValueError("out of range")
+        return value
+    return int_in
+
+
+_CLASSES = _flag_type("comma-separated kV", lambda text: tuple(voltage_class_table(map(float, text.split(",")))))
+_BINS = _flag_type("'fd' or an integer >= 2", lambda text: _bins(text if text == "fd" else int(text)))
+_COUNT = _flag_type("an integer >= 1", _int_in(1, math.inf))
+_SEED = _flag_type("an integer in [0, 2**64)", _int_in(0, 2**64))
 
 
 def _add_input_flags(sp: argparse.ArgumentParser) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--case", help="MATPOWER-style case file")
     group.add_argument("--branches", help="canonical branch CSV file")
-    sp.add_argument("--classes", default="115,138,230", help="voltage classes, comma-separated kV")
+    sp.add_argument("--classes", type=_CLASSES, default="115,138,230", help="voltage classes, comma-separated kV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="sample synthetic branch parameters")
     gen.add_argument("--class", dest="class_kv", type=float, required=True, help="voltage class kV")
-    gen.add_argument("--n", type=_positive_int, required=True, help="number of branches")
-    gen.add_argument("--seed", type=_seed_type, required=True, help="64-bit RNG seed")
+    gen.add_argument("--n", type=_COUNT, required=True, help="number of branches")
+    gen.add_argument("--seed", type=_SEED, required=True, help="64-bit RNG seed")
     gen.add_argument("--kind", choices=("transformer", "line"), default="transformer")
     gen.add_argument("--base", type=float, default=100.0, help="system MVA base (transformers)")
     gen.add_argument("--nu", type=float, default=DEFAULT_TLS_NU, help="reactance t shape")
@@ -121,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist.add_argument("--out", required=True, help="output directory")
 
     for sp in (fit, val, hist):  # analyze reports no histogram
-        sp.add_argument("--bins", default="fd", help="histogram binning: 'fd' or a bin count")
+        sp.add_argument("--bins", type=_BINS, default="fd", help="histogram binning: 'fd' or a bin count")
     return parser
 
 
@@ -132,29 +138,13 @@ def _read_input(path: str, inputs: dict) -> bytes:
     return data
 
 
-def _parse_classes(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"--classes expects comma-separated numbers, got {text!r}") from None
-
-
-def _binning(text: str):
-    try:
-        return _bins(text if text == "fd" else int(text))
-    except ValueError:
-        raise ValueError(f"--bins expects 'fd' or an integer >= 2, got {text!r}") from None
-
-
 def _collect(args, inputs: dict):
-    """Read the --case or --branches input and collect its samples for the
-    --classes voltage classes: (class kVs, CollectedSamples)."""
+    """Read the --case or --branches input and collect its samples for the --classes voltage classes."""
     if args.case is not None:
         _, records = parse_matpower_case(decode_utf8(_read_input(args.case, inputs)))
     else:
         records = parse_branch_csv(_read_input(args.branches, inputs))
-    class_kvs = _parse_classes(args.classes)
-    return class_kvs, collect_samples(records, class_kvs)
+    return collect_samples(records, args.classes)
 
 
 def _load_profile(spec: str, inputs: dict) -> list:
@@ -187,7 +177,7 @@ def _by_class(class_kvs, cell) -> dict:
     return {f"{kv:g}": {kind.value: cell(kind, kv) for kind in ParameterKind} for kv in class_kvs}
 
 
-def _cmd_analyze(args, inputs: dict, class_kvs, collected) -> int:
+def _cmd_analyze(args, inputs: dict, collected) -> int:
     profile = _load_profile(args.profile, inputs)
     observed = observed_stats(collected, profile)
     decorr = decorrelation_stats(collected)
@@ -198,8 +188,8 @@ def _cmd_analyze(args, inputs: dict, class_kvs, collected) -> int:
             return "no data"
         return {**dataclasses.asdict(stats.summary), "band_fraction": stats.band_fraction}
 
-    classes = _by_class(class_kvs, summary)
-    for kv in class_kvs:
+    classes = _by_class(args.classes, summary)
+    for kv in args.classes:
         entry, d = classes[f"{kv:g}"], decorr.get(kv)
         entry["decorrelation"] = "no data" if d is None else dataclasses.asdict(d)
         entry["autotransformer_suspects"] = collected.suspect_counts.get(kv, 0)
@@ -230,21 +220,20 @@ def _fit_cell(arr, bins):
     return {"fits": fits, "best_family": family_tag(best.dist)}
 
 
-def _cmd_fit(args, inputs: dict, class_kvs, collected) -> int:
-    bins = _binning(args.bins)
-    fits = _by_class(class_kvs, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), bins))
+def _cmd_fit(args, inputs: dict, collected) -> int:
+    fits = _by_class(args.classes, lambda kind, kv: _fit_cell(collected.values.get((kind, kv)), args.bins))
     _report({"fits": fits}, inputs, args.out)
     return 0
 
 
-def _cmd_validate(args, inputs: dict, class_kvs, collected) -> int:
+def _cmd_validate(args, inputs: dict, collected) -> int:
     profile = _load_profile(args.profile, inputs)
     thresholds = DEFAULT_THRESHOLDS
     if args.thresholds is not None:
         thresholds = thresholds_from_dict(
             json.loads(decode_utf8(_read_input(args.thresholds, inputs)))
         )
-    observed = observed_stats(collected, profile, bins=_binning(args.bins))
+    observed = observed_stats(collected, profile, bins=args.bins)
     decorr = spearman_own_by_class(decorrelation_stats(collected))
 
     report = validate(observed, profile, thresholds, transformer_decorrelation=decorr)
@@ -266,9 +255,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
-    bins = _binning(args.bins)
-
+def _cmd_hist(args, inputs: dict, collected) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -276,7 +263,7 @@ def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
         collected.values.items(), key=lambda item: (item[0][0].value, item[0][1])
     ):
         try:
-            hist = histogram(arr, bins)
+            hist = histogram(arr, args.bins)
         except ValueError:
             continue
         path = out_dir / f"{kind.value}_{kv:g}.csv"
@@ -286,7 +273,7 @@ def _cmd_hist(args, inputs: dict, class_kvs, collected) -> int:
     return 0
 
 
-# The commands that read a --case or --branches input: (args, input digests, class kVs, collected).
+# The commands that read a --case or --branches input: (args, input digests, collected samples).
 _INGEST_COMMANDS = {"analyze": _cmd_analyze, "fit": _cmd_fit, "validate": _cmd_validate, "hist": _cmd_hist}
 
 
@@ -302,7 +289,7 @@ def run(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         inputs: dict = {}
-        return _INGEST_COMMANDS[args.command](args, inputs, *_collect(args, inputs))
+        return _INGEST_COMMANDS[args.command](args, inputs, _collect(args, inputs))
     except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError) as exc:
         # ParseError and json.JSONDecodeError are ValueErrors.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

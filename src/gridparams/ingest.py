@@ -17,7 +17,7 @@ import math
 import re
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, compress, islice
 
@@ -45,19 +45,6 @@ __all__ = [
     "voltage_class_table",
     "assign_voltage_class",
 ]
-
-CSV_HEADER = (
-    "id",
-    "from_bus",
-    "to_bus",
-    "from_kv",
-    "to_kv",
-    "r_pu",
-    "x_pu",
-    "mva_rating",
-    "tap_ratio",
-    "system_mva_base",
-)
 
 #: MVA window outside which a reported rating is treated as a data artifact.
 DEFAULT_RATING_BOUNDS = (1.0, 3000.0)
@@ -101,6 +88,9 @@ class BranchRecord:
     system_mva_base: float
 
 
+CSV_HEADER = tuple(f.name for f in fields(BranchRecord))
+
+
 class BranchKind(Enum):
     TRANSMISSION_LINE = "TransmissionLine"
     TRANSFORMER = "Transformer"
@@ -125,9 +115,9 @@ def _in_class(kv, nominal_kv: float):
     return abs(kv - nominal_kv) <= KV_TOLERANCE_FRAC * nominal_kv
 
 
-_FLOAT_FIELDS = ("from_kv", "to_kv", "r_pu", "x_pu", "mva_rating", "tap_ratio", "system_mva_base")
 _INT_FIELDS = ("from_bus", "to_bus")
 _COLUMNS = CSV_HEADER[1:]
+_FLOAT_FIELDS = tuple(name for name in _COLUMNS if name not in _INT_FIELDS)
 _INT64 = np.iinfo(np.int64)
 _SIGNED_DIGITS = re.compile(r"([+-]?)0*([0-9]+)")
 
@@ -480,10 +470,7 @@ def _reject_reason(r: BranchRecord, lo: float, hi: float) -> RejectReason | None
         return RejectReason.ZERO_RATING
     if r.mva_rating < lo or r.mva_rating > hi:
         return RejectReason.EXTREME_RATING
-    numeric = (
-        r.from_kv, r.to_kv, r.r_pu, r.x_pu, r.mva_rating, r.tap_ratio, r.system_mva_base,
-    )
-    if not all(math.isfinite(v) for v in numeric):
+    if not all(math.isfinite(getattr(r, name)) for name in _FLOAT_FIELDS):
         return RejectReason.NON_FINITE
     return None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class SyntheticBranchParams:
 _KINDS = tuple(BranchKind)
 _LINE = _KINDS.index(BranchKind.TRANSMISSION_LINE)
 #: The SyntheticBranchParams fields after kind, in order; the last two are own-base.
-_COLUMNS = ("class_kv", "mva_rating", "x_pu_common", "r_pu_common", "xr", "x_pu_own", "r_pu_own")
+_COLUMNS = tuple(f.name for f in fields(SyntheticBranchParams))[1:]
 
 
 class SyntheticTable(Sequence):

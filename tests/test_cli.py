@@ -130,6 +130,24 @@ def test_analyze_has_no_bins_option(tmp_path):
     assert "unrecognized arguments: --bins 5" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["fit", "--bins", "x"], "'fd' or an integer >= 2, got 'x'"),
+    (["hist", "--bins", "1"], "'fd' or an integer >= 2, got '1'"),
+    (["validate", "--bins", "2.5"], "'fd' or an integer >= 2, got '2.5'"),
+    (["analyze", "--classes", "115,115"], "voltage classes 115.0 and 115.0 overlap"),
+    (["fit", "--classes", "-5"], "must be finite and > 0, got -5.0"),
+    (["analyze", "--classes", "115,abc"], "'abc'"),
+])
+def test_a_bad_flag_is_reported_before_any_input_is_read(tmp_path, argv, reason):
+    missing = tmp_path / "missing.csv"
+    code, err = _run_quietly([*argv, "--branches", str(missing), "--out", str(tmp_path / "out")])
+    assert code == 1
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    assert f"error: argument {argv[1]}: " in lines[0] and reason in lines[0]
+    assert "missing.csv" not in err
+
+
 @pytest.mark.parametrize("command", ["fit", "validate", "hist"])
 def test_fit_validate_and_hist_take_bins(tmp_path, command):
     case = tmp_path / "case3.m"
@@ -495,11 +513,11 @@ def test_memory_error_is_an_input_error(monkeypatch, capsys):
 def test_classes_match_profile_entries_within_the_class_tolerance(tmp_path):
     fleet = _generate_branches(tmp_path, n=150)
     findings = []
-    for classes in ("115,138,230", "115.0000000001,138,230"):
+    for classes in ("115,138,230", "115.0000000001,138,230", "230,138,115"):
         out = tmp_path / "report.json"
         assert run(["validate", "--branches", str(fleet), "--classes", classes, "--out", str(out)]) == 0
         findings.append(json.loads(out.read_text())["findings"])
-    assert findings[0] == findings[1]
+    assert findings[0] == findings[1] == findings[2]
 
 
 _json_values = st.recursive(
