@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _PENALTY = 1e300
+#: An objective's value and gradient function where the likelihood is not finite.
+_PENALIZED = (_PENALTY, lambda: np.zeros(3))
 _MIN_ZETA = 1e-6
 _Q_FLOOR = 1e-12
 #: A t fit past this nu has run off toward the normal limit.
@@ -121,14 +123,16 @@ def _scale_guess(x: np.ndarray) -> float:
 
 
 def _bfgs(f, theta, gtol: float, maxiter: int):
-    """Minimize f, which returns (value, gradient), from theta by BFGS with an
-    Armijo backtracking line search (Nocedal & Wright 2006, 6.1 and 3.1).
+    """Minimize f, which returns (value, a function returning the gradient), from theta
+    by BFGS with an Armijo backtracking line search (Nocedal & Wright 2006, 6.1 and 3.1),
+    which needs only values: the gradient is taken once per accepted point.
 
     Stops at max |gradient| <= gtol, at a gradient that is not finite, after
     maxiter iterations, or when the step underflows; returns (theta,
     gradient, iterations).
     """
-    fx, g = f(theta)
+    fx, gradient = f(theta)
+    g = gradient()
     h = None  # inverse Hessian; None while the search runs steepest descent
     for k in range(maxiter):
         if not np.all(np.isfinite(g)) or np.max(np.abs(g)) <= gtol:
@@ -141,14 +145,15 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
             step *= 0.5
             if not np.any(np.abs(step * p) > np.spacing(np.abs(theta))):  # the step underflows
                 return theta, g, k
-        s, y = step * p, trial[1] - g
+        fx, g_next = trial[0], trial[1]()
+        s, y = step * p, g_next - g
         # A non-finite trial gradient ends the search at the next iteration.
         if np.all(np.isfinite(y)) and (sy := s @ y) > 0:
             if h is None:
                 h = np.eye(theta.size) * (sy / (y @ y))
             v = np.eye(theta.size) - np.outer(s, y) / sy
             h = v @ h @ v.T + np.outer(s, s) / sy
-        theta, (fx, g) = theta + s, trial
+        theta, g = theta + s, g_next
     return theta, g, maxiter
 
 
@@ -165,9 +170,9 @@ def _fit_scored(x, make, objective, start, sigma0) -> FitResult:
         try:
             d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
         except (OverflowError, ValueError):  # sigma or nu beyond float range
-            return _PENALTY, np.zeros(3)
+            return _PENALIZED
         value, gradient = objective(d, x)
-        return value, gradient * [sigma0, 1.0, 1.0]
+        return value, lambda: gradient() * [sigma0, 1.0, 1.0]
 
     with np.errstate(all="ignore"):  # search points far from the optimum overflow
         # gtol scales with n: where the likelihood keeps rising toward nu = inf,
@@ -189,9 +194,9 @@ def _fit_scored(x, make, objective, start, sigma0) -> FitResult:
     return FitResult(d, ll, x.size, converged=False, iterations=nit, message=message)
 
 
-def _tls_objective(d: Tls, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(-log-likelihood as log_pdf sums it, its gradient in (mu, log sigma, log nu)), or
-    (_PENALTY, zeros) where it is not finite. The score's constant part is
+def _tls_objective(d: Tls, x: np.ndarray):
+    """(-log-likelihood as log_pdf sums it, a function returning its gradient in (mu, log sigma,
+    log nu)), or _PENALIZED where it is not finite. The score's constant part is
     nu/2 * (digamma((nu+1)/2) - digamma(nu/2) - 1/nu)."""
     log_f0, h = _tls_constants(d.nu)
     z = (x - d.mu) / d.sigma
@@ -201,31 +206,37 @@ def _tls_objective(d: Tls, x: np.ndarray) -> tuple[float, np.ndarray]:
         log_terms = np.where(np.isinf(w), np.logaddexp(0.0, 2.0 * np.log(np.abs(z)) - math.log(d.nu)), w)
     ll = float(np.sum(log_f0 - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * log_terms))
     if not math.isfinite(ll):
-        return _PENALTY, np.zeros(3)
-    wz = (d.nu + 1.0) * z / (d.nu + zz)
-    wzz = wz * z
-    # The score takes the raw w, not log_terms: where zz/nu overflowed it is not finite, which ends
-    # a search along an unbounded ridge; with log_terms that search would run to its iteration cap.
-    return -ll, -np.array([np.sum(wz) / d.sigma, np.sum(wzz) - x.size,
-                           x.size * (0.5 * h) + 0.5 * np.sum(wzz - d.nu * w)])
+        return _PENALIZED
+
+    def gradient():
+        wz = (d.nu + 1.0) * z / (d.nu + zz)
+        wzz = wz * z
+        # The score takes the raw w, not log_terms: where zz/nu overflowed it is not finite, which ends
+        # a search along an unbounded ridge; with log_terms that search would run to its iteration cap.
+        return -np.array([np.sum(wz) / d.sigma, np.sum(wzz) - x.size,
+                          x.size * (0.5 * h) + 0.5 * np.sum(wzz - d.nu * w)])
+    return -ll, gradient
 
 
-def _gev_objective(d: Gev, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(-log-likelihood as log_pdf sums it, its gradient in (mu, log sigma, zeta)), or
-    (_PENALTY, zeros) where it is not finite; the gradient rounds zeta*((x - mu)/sigma)."""
+def _gev_objective(d: Gev, x: np.ndarray):
+    """(-log-likelihood as log_pdf sums it, a function returning its gradient in (mu, log sigma,
+    zeta)), or _PENALIZED where it is not finite; the gradient rounds zeta*((x - mu)/sigma)."""
     log_s, inside = _gev_support(d, x)
     if not inside.all():
-        return _PENALTY, np.zeros(3)
+        return _PENALIZED
     ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta)))
     if not math.isfinite(ll):
-        return _PENALTY, np.zeros(3)
-    z = (x - d.mu) / d.sigma
-    s = 1.0 + (zeta_z := d.zeta * z)
-    log_s = np.log1p(zeta_z)  # not log(s): zeta may be as small as _MIN_ZETA
-    t = np.exp(-log_s / d.zeta)
-    a = (1.0 + d.zeta - t) / s
-    return -ll, -np.array([np.sum(a) / d.sigma, np.sum(a * z) - x.size,
-                           np.sum((1.0 - t) * (log_s / d.zeta - (zs := z / s)) / d.zeta - zs)])
+        return _PENALIZED
+
+    def gradient():
+        z = (x - d.mu) / d.sigma
+        s = 1.0 + (zeta_z := d.zeta * z)
+        log_s = np.log1p(zeta_z)  # not log(s): zeta may be as small as _MIN_ZETA
+        t = np.exp(-log_s / d.zeta)
+        a = (1.0 + d.zeta - t) / s
+        return -np.array([np.sum(a) / d.sigma, np.sum(a * z) - x.size,
+                          np.sum((1.0 - t) * (log_s / d.zeta - (zs := z / s)) / d.zeta - zs)])
+    return -ll, gradient
 
 
 def _fit_tls(x: np.ndarray) -> FitResult:

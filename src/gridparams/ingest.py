@@ -19,6 +19,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -123,24 +124,33 @@ _SIGNED_DIGITS = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 class BranchTable(Sequence):
-    """Branch rows stored column-wise: a list of ids plus one numpy column
-    per numeric BranchRecord field (int64 bus numbers, float64 otherwise).
+    """Branch rows stored column-wise: one numpy column per numeric
+    BranchRecord field (int64 bus numbers, float64 otherwise), and the ids.
 
-    Reads as a sequence of BranchRecord; a record is built only when a row
-    is indexed or iterated.
+    The ids may be given as a function that returns their list: it is called
+    when ids is first read, by indexing, iteration or a caller, and not by
+    len() or take(). Reads as a sequence of BranchRecord; a record is built
+    only when a row is indexed or iterated.
     """
 
-    __slots__ = ("ids", *_COLUMNS)
+    __slots__ = ("_ids", *_COLUMNS)
 
     def __init__(self, ids, **columns):
         if set(columns) != set(_COLUMNS):
             raise TypeError(f"BranchTable needs exactly the columns {_COLUMNS}")
-        self.ids = list(ids)
+        self._ids = ids if callable(ids) else list(ids)
+        shape = (np.size(columns["from_bus"]) if callable(ids) else len(self._ids),)
         for name in _COLUMNS:
             col = np.asarray(columns[name], dtype=np.int64 if name in _INT_FIELDS else np.float64)
-            if col.shape != (len(self.ids),):
-                raise ValueError(f"column {name!r} has shape {col.shape}, expected ({len(self.ids)},)")
+            if col.shape != shape:
+                raise ValueError(f"column {name!r} has shape {col.shape}, expected {shape}")
             setattr(self, name, col)
+
+    @property
+    def ids(self) -> list[str]:
+        if callable(self._ids):
+            self._ids = self._ids()
+        return self._ids
 
     @classmethod
     def from_records(cls, records) -> BranchTable:
@@ -151,15 +161,16 @@ class BranchTable(Sequence):
         )
 
     def take(self, mask) -> BranchTable:
-        """The rows where a boolean mask is true, in order."""
+        """The rows where a boolean mask is true, in order; ids not yet read stay unread."""
         mask = np.asarray(mask)
         if mask.dtype != bool:
             raise TypeError(f"take() needs a boolean mask, got dtype {mask.dtype}")
-        ids = list(compress(self.ids, mask.tolist()))
+        source, keep = self._ids, mask.tolist()
+        ids = (lambda: list(compress(source(), keep))) if callable(source) else compress(source, keep)
         return BranchTable(ids, **{name: getattr(self, name)[mask] for name in _COLUMNS})
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.from_bus)
 
     def __getitem__(self, i: int) -> BranchRecord:
         if isinstance(i, slice):
@@ -187,24 +198,18 @@ def decode_utf8(data: bytes) -> str:
 def parse_branch_csv(data: bytes | str) -> BranchTable:
     """Parse canonical branch CSV; raises ParseError with the failing line.
 
-    The rows are read in one call to numpy's C text reader. Text that
+    The rows are read from the UTF-8 bytes in one call to numpy's C text
+    reader, and the ids only when the table's ids are first read. Text that
     reader could split differently from csv.reader (a quote; a NUL, which
     csv.reader rejects before Python 3.11; a line longer than csv's field
     size limit), and text it rejects or warns on, go through the row-wise
     reader instead, which alone names a bad row's line and field.
     """
-    text = decode_utf8(data) if isinstance(data, bytes) else data
-    if text and '"' not in text and "\0" not in text:
-        # Without quotes a csv record is one line, so the header is the first.
-        lines = text.split("\n")
-        header, index = _read_header(csv.reader(lines[:1]))
-        if max(map(len, lines)) <= csv.field_size_limit():
-            try:
-                return _read_columns(lines, header, index)
-            except (ValueError, Warning):
-                pass
-        del lines
-    reader = csv.reader(io.StringIO(text))
+    try:
+        return _read_columns(data)
+    except (ValueError, Warning):
+        pass
+    reader = csv.reader(io.StringIO(decode_utf8(data) if isinstance(data, bytes) else data))
     header, index = _read_header(reader)
     return _read_rows(reader, index, len(header))
 
@@ -226,23 +231,39 @@ def _read_header(reader) -> tuple[list[str], dict[str, int]]:
     return header, index
 
 
-def _read_columns(lines: list[str], header: list[str], index: dict[str, int]) -> BranchTable:
-    """The rows below the header line, read by np.loadtxt; ValueError or a
-    Warning for text the row-wise reader must judge.
+def _read_columns(data: bytes | str) -> BranchTable:
+    """The rows below the header line, read from the bytes by np.loadtxt;
+    ValueError or a Warning for text the row-wise reader must judge.
 
     csv.reader splits a line without quotes or NULs at every comma, as
     numpy's reader does. Floats are parsed as float() parses them. numpy's
     int64 parser reads a sign, ASCII digits and whitespace as int() does and
     rejects the rest of what int() reads; before numpy 2.0 it warns on float
-    text such as "5.0". So both readers accept the same rows, with the same values.
+    text such as "5.0". So both readers accept the same rows, with the same
+    values. The id column, and any column outside CSV_HEADER, is read into a
+    zero-width text field, which keeps the reader's per-row field count; the
+    table's id source reads the id column again.
     """
+    raw = data.encode() if isinstance(data, str) else data
+    if not raw or b'"' in raw or b"\0" in raw:
+        raise ValueError("text for the row-wise reader")
+    # Without quotes a csv record is one line, so the header is the first.
+    first = data.partition("\n")[0] if isinstance(data, str) else decode_utf8(raw.partition(b"\n")[0])
+    header, index = _read_header(csv.reader([first]))
+    limit = csv.field_size_limit()
+    if len(raw) > limit and np.diff(np.flatnonzero(np.frombuffer(raw, np.uint8) == 10), prepend=-1,
+                                    append=len(raw)).max() > limit + 1:  # a line, its LF included
+        raise ValueError("a line past csv's field size limit")
     kinds = {index[name]: np.int64 if name in _INT_FIELDS else np.float64 for name in _COLUMNS}
-    dtype = np.dtype([(f"f{i}", kinds.get(i, object)) for i in range(len(header))])
+    dtype = np.dtype([(f"f{i}", kinds.get(i, "U0")) for i in range(len(header))])
+    read = partial(np.loadtxt, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    columns = {name: rows[f"f{index[name]}"].copy() for name in _COLUMNS}
-    return BranchTable(list(map(str.strip, rows[f"f{index['id']}"].tolist())), **columns)
+        rows = read(io.BytesIO(raw), dtype=dtype)
+    def ids():  # the id column, read again
+        return list(map(str.strip, read(io.BytesIO(raw), dtype=object, usecols=index["id"]).tolist()))
+
+    return BranchTable(ids, **{name: rows[f"f{index[name]}"].copy() for name in _COLUMNS})
 
 
 def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
@@ -447,7 +468,7 @@ def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
         raise ParseError(f"branch row {i + 1}: unknown bus {int(bus_no)}", line=branch_line(i))
 
     return base_mva, BranchTable(
-        _parallel_ids(from_bus, to_bus),
+        lambda: _parallel_ids(from_bus, to_bus),
         from_bus=from_bus,
         to_bus=to_bus,
         from_kv=known_kv[np.searchsorted(known, from_bus)],

@@ -186,7 +186,7 @@ def test_tls_score_matches_central_differences(seed, n, log10_nu, shift, log_sca
         return fitting._loglik(Tls(sigma * t[0], math.exp(t[1]), math.exp(t[2])), x)
 
     d = Tls(sigma * theta[0], sigma, math.exp(theta[2]))
-    score = -fitting._tls_objective(d, x)[1] * [sigma, 1.0, 1.0]
+    score = -fitting._tls_objective(d, x)[1]() * [sigma, 1.0, 1.0]
     _assert_score(score, _central_differences(loglik, theta, [1e-5, 1e-5, 1e-4]), n)
 
 
@@ -216,7 +216,7 @@ def test_gev_score_matches_central_differences(seed, n, zeta, shift, log_scale):
     def loglik(t):
         return fitting._loglik(Gev(sigma * t[0], math.exp(t[1]), t[2]), x)
 
-    score = -fitting._gev_objective(Gev(sigma * theta[0], sigma, zeta), x)[1] * [sigma, 1.0, 1.0]
+    score = -fitting._gev_objective(Gev(sigma * theta[0], sigma, zeta), x)[1]() * [sigma, 1.0, 1.0]
     _assert_score(score, _central_differences(loglik, theta, steps), n)
 
 
@@ -245,6 +245,7 @@ def test_objectives_return_the_negative_log_likelihood(x, d):
     objective = fitting._tls_objective if isinstance(d, Tls) else fitting._gev_objective
     with np.errstate(all="ignore"):  # as in the fits, which run the objectives
         value, gradient = objective(d, x)
+        gradient = gradient()
         ll = fitting._loglik(d, x)
     assert gradient.shape == (3,)
     if math.isfinite(ll):
@@ -260,7 +261,7 @@ _B = np.array([1.0, -2.0, 0.5])
 
 
 def _quadratic(theta):
-    return 0.5 * theta @ _A @ theta - _B @ theta, _A @ theta - _B
+    return 0.5 * theta @ _A @ theta - _B @ theta, lambda: _A @ theta - _B
 
 
 def test_bfgs_minimizes_a_quadratic():
@@ -275,7 +276,7 @@ def test_bfgs_returns_at_maxiter():
     theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 2)
     assert nit == 2
     assert _quadratic(theta)[0] < _quadratic(start)[0]
-    np.testing.assert_array_equal(g, _quadratic(theta)[1])
+    np.testing.assert_array_equal(g, _quadratic(theta)[1]())
     theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 0)
     assert nit == 0 and np.array_equal(theta, start)
 
@@ -289,14 +290,65 @@ def test_bfgs_crosses_a_penalty_region():
     def f(theta):
         visited.append(theta.copy())
         if 1.5 < theta[0] < 2.5:
-            return fitting._PENALTY, np.zeros(3)
+            return fitting._PENALIZED
         d = theta - [-3.0, 0.0, 0.0]
-        return 0.5 * d @ d, d
+        return 0.5 * d @ d, lambda: d
 
     theta, g, nit = fitting._bfgs(f, np.array([3.0, 0.0, 0.0]), 1e-10, 100)
     np.testing.assert_allclose(theta, [-3.0, 0.0, 0.0], atol=1e-10)
     assert any(1.5 < t[0] < 2.5 for t in visited)
     assert np.all(np.isfinite(visited)) and np.all(np.isfinite(g))
+
+
+def _logged(f, log):
+    """f, with each value call and each gradient call appended to log as (kind, theta, value)."""
+    def logged(theta):
+        point = theta.copy()
+        value, gradient = f(theta)
+        log.append(("value", point, value))
+
+        def logged_gradient():
+            log.append(("gradient", point, value))
+            return gradient()
+        return value, logged_gradient
+    return logged
+
+
+def _accepted_and_rejected(log):
+    """The points whose gradient was taken, each right after its value, and the trials without one."""
+    for i, (kind, point, _) in enumerate(log):
+        if kind == "gradient":
+            assert log[i - 1][0] == "value" and np.array_equal(log[i - 1][1], point)
+    rejected = [entry for entry, after in zip(log, [*log[1:], ("value",)]) if entry[0] == after[0] == "value"]
+    return [entry for entry in log if entry[0] == "gradient"], rejected
+
+
+def test_bfgs_takes_one_gradient_per_accepted_point():
+    # The Armijo line search needs only values (Nocedal & Wright 2006, 3.1): the
+    # start and each accepted trial get a gradient, a rejected trial none.
+    def f(theta):
+        if 1.5 < theta[0] < 2.5:
+            return fitting._PENALIZED
+        d = theta - [-3.0, 0.0, 0.0]
+        return 0.5 * d @ d, lambda: d
+
+    log = []
+    theta, g, nit = fitting._bfgs(_logged(f, log), np.array([3.0, 0.0, 0.0]), 1e-10, 100)
+    accepted, rejected = _accepted_and_rejected(log)
+    assert len(accepted) == nit + 1
+    assert len(log) - len(accepted) == len(accepted) + len(rejected)
+    assert [value for _, point, value in rejected] == [fitting._PENALTY]  # the trial in the slab
+
+
+@pytest.mark.parametrize("family", ["tls", "gev"])
+def test_likelihood_fits_take_no_gradient_at_rejected_trials(family, monkeypatch):
+    name = {"tls": "_tls_objective", "gev": "_gev_objective"}[family]
+    objective, log = getattr(fitting, name), []
+    monkeypatch.setattr(fitting, name, lambda d, x: _logged(lambda _: objective(d, x), log)(np.zeros(3)))
+    res = fit_mle(family, sample(Gev(mu=41.08, sigma=27.38, zeta=0.3732), seed=5, n=2000))
+    accepted, rejected = _accepted_and_rejected(log)
+    assert res.converged and len(accepted) == res.iterations + 1
+    assert len(log) - len(accepted) == len(accepted) + len(rejected) and rejected
 
 
 @pytest.mark.parametrize(
@@ -308,13 +360,17 @@ def test_bfgs_finishes_the_likelihood_fits(family, truth):
     res = fit_mle(family, x)
     assert res.converged and 0 < res.iterations < 50
     objective = {"tls": fitting._tls_objective, "gev": fitting._gev_objective}[family]
-    assert np.max(np.abs(objective(res.dist, x)[1] * [res.dist.sigma, 1.0, 1.0])) <= 1e-5 * x.size
+    assert np.max(np.abs(objective(res.dist, x)[1]() * [res.dist.sigma, 1.0, 1.0])) <= 1e-5 * x.size
 
 
 def _scipy_bfgs(f, theta, gtol, maxiter):
     from scipy.optimize import minimize
 
-    res = minimize(f, theta, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": gtol})
+    def value_and_gradient(theta):
+        value, gradient = f(theta)
+        return value, gradient()
+
+    res = minimize(value_and_gradient, theta, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": gtol})
     return res.x, res.jac, res.nit
 
 

@@ -445,6 +445,69 @@ def test_parse_branch_csv_field_longer_than_the_csv_limit():
     assert exc.value.line == 3
 
 
+# ------------------------------------------------------------ deferred ids
+
+
+@st.composite
+def _clean_branch_csv_bytes(draw):
+    """Rows numpy's reader takes: ids padded with whitespace, blank lines, LF or CRLF ends, an
+    optional byte-order mark and extra columns outside CSV_HEADER."""
+    header = draw(st.sampled_from(_HEADERS))
+    kinds = [_kind(name) for name in header]
+    lines = [",".join(header)]
+    for blank in [False] + draw(st.lists(st.booleans(), max_size=7)):  # a row first: loadtxt warns on none
+        lines.append("" if blank else ",".join(draw(_VALID[kind]) for kind in kinds))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "﻿"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clean_branch_csv_bytes(), st.data())
+def test_deferred_ids_equal_the_row_wise_readers(data, draw):
+    expected = _row_wise_branch_csv(ingest.decode_utf8(data)).ids
+    with mock.patch.object(ingest, "_read_rows", _refuse):
+        table = parse_branch_csv(data)
+    assert len(table) == len(expected)
+    masks = st.lists(st.booleans(), min_size=len(table), max_size=len(table)).map(np.array)
+    first, second, sibling = draw.draw(masks), draw.draw(masks), draw.draw(masks)
+    chained, other = table.take(first).take(second[: np.count_nonzero(first)]), table.take(sibling)
+    kept = [i for i, keep in zip(expected, first) if keep]
+    assert chained.ids == [i for i, keep in zip(kept, second) if keep]
+    assert other.ids == [i for i, keep in zip(expected, sibling) if keep]
+    assert table.ids == expected and [r.id for r in table] == expected
+
+
+@pytest.mark.parametrize("row", [GOOD_ROW + ",x", GOOD_ROW.rpartition(",")[0]])
+def test_a_row_of_the_wrong_width_is_a_parse_error_naming_its_line(row):
+    text = _PLAIN + GOOD_ROW + "\n\n" + row + "\n" + GOOD_ROW + "\n"
+    with pytest.raises(ValueError):  # numpy's reader counts the fields of every row
+        ingest._read_columns(text.encode())
+    with pytest.raises(ParseError, match=r"^line 4: expected 10 fields, got (11|9)$"):
+        parse_branch_csv(text.encode())
+
+
+def test_len_filter_and_collect_do_not_read_deferred_ids():
+    from gridparams.analysis import collect_samples
+
+    rows = [GOOD_ROW, GOOD_ROW.replace("t1", "t2").replace(",60,", ",0,"), "l3,3,4,115,115,0.01,0.1,80,0,100"]
+    parsed = parse_branch_csv((_PLAIN + "\n".join(rows)).encode())
+    columns = {name: getattr(parsed, name) for name in CSV_HEADER[1:]}
+    clean = BranchTable(_refuse, **{name: col[[0, 2]] for name, col in columns.items()})
+    assert len(clean) == 2
+    assert filter_valid(clean).tolist() == [-1, -1]
+    assert collect_samples(clean).kept == 2
+    out = collect_samples(BranchTable(_refuse, **columns))  # the rejected rows' ids stay unread too
+    assert out.kept == 2 and len(out.rejected) == 1
+    with pytest.raises(AssertionError, match="called"):
+        out.rejected.ids
+    assert collect_samples(parsed).rejected.ids == ["t2"]
+
+
 _case_fragments = st.sampled_from(
     [
         "mpc.baseMVA = 100;", "mpc.baseMVA = 1e;", "mpc.bus = [", "mpc.branch = [", "];", "] ;",
