@@ -220,20 +220,19 @@ def _tls_objective(d: Tls, x: np.ndarray):
 
 def _gev_objective(d: Gev, x: np.ndarray):
     """(-log-likelihood as log_pdf sums it, a function returning its gradient in (mu, log sigma,
-    zeta)), or _PENALIZED where it is not finite; the gradient rounds zeta*((x - mu)/sigma)."""
+    zeta)), or _PENALIZED where it is not finite. The gradient takes log(s) and s**(-1/zeta) from
+    the value, at s = 1 + zeta*(x - mu)/sigma, and s itself as 1 + zeta*((x - mu)/sigma)."""
     log_s, inside = _gev_support(d, x)
     if not inside.all():
         return _PENALIZED
-    ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - np.exp(-log_s / d.zeta)))
+    t = np.exp(-log_s / d.zeta)
+    ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - t))
     if not math.isfinite(ll):
         return _PENALIZED
 
     def gradient():
         z = (x - d.mu) / d.sigma
-        s = 1.0 + (zeta_z := d.zeta * z)
-        log_s = np.log1p(zeta_z)  # not log(s): zeta may be as small as _MIN_ZETA
-        t = np.exp(-log_s / d.zeta)
-        a = (1.0 + d.zeta - t) / s
+        a = (1.0 + d.zeta - t) / (s := 1.0 + d.zeta * z)
         return -np.array([np.sum(a) / d.sigma, np.sum(a * z) - x.size,
                           np.sum((1.0 - t) * (log_s / d.zeta - (zs := z / s)) / d.zeta - zs)])
     return -ll, gradient

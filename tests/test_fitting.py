@@ -444,16 +444,16 @@ _BIG_OWN_BASE = [1.5e200, 6e200, 3.2e200, 1.4e201, 9e200]
     "family, values, expected",
     [
         # A line-capacity sample that the accepted-profile property drew: the GEV
-        # search reaches a point with a finite likelihood and a non-finite score,
-        # and stops there, not converged.
+        # search heads below zeta = -1, where the likelihood has no maximum, and
+        # stops short when its step underflows, not converged.
         ("gev", [44564.424208420205, 817330.0, 24.0, 717028.017578125, 506783.072467144,
                  761173.4129972508, 167600.51948593222, 171273.75, 811601.046875, 915864.5768966724],
-         FitResult(Gev(509596.9920784991, 413007.9180950931, -1.016590871457137), -139.065954924624,
-                   10, False, 33, _NONFINITE_SCORE)),
+         FitResult(Gev(509596.9920055277, 413007.9181268381, -1.016590871352681), -139.0659549278383,
+                   10, False, 34, "search ended at max |score| 1.47e+13 per value, above 1e-6")),
         # The X/R values of three 115 kV transformers; the same happens to the GEV search.
         ("gev", [13.877815272949906, 13.931529322237637, 10.874929036291789],
-         FitResult(Gev(12.422486484785827, 1.7991265195959383, -1.1922302501590791), 2.7168027943646247,
-                   3, False, 33, _NONFINITE_SCORE)),
+         FitResult(Gev(12.42248648478431, 1.79912651959603, -1.1922302501579412), 2.6050426239326017,
+                   3, False, 29, "search ended at max |score| 1.61e+14 per value, above 1e-6")),
         # The t likelihood has no maximum here: it grows without bound as sigma
         # shrinks about the value -8.69. The search follows it until the score is
         # no longer finite, at sigma = 1.3e-150.
