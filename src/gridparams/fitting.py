@@ -208,7 +208,7 @@ def _tls_objective(d: Tls, x: np.ndarray):
     if not math.isfinite(ll):
         return _PENALIZED
 
-    def gradient():
+    def gradient():  # of -ll, from the arrays above
         wz = (d.nu + 1.0) * z / (d.nu + zz)
         wzz = wz * z
         # The score takes the raw w, not log_terms: where zz/nu overflowed it is not finite, which ends
@@ -230,7 +230,7 @@ def _gev_objective(d: Gev, x: np.ndarray):
     if not math.isfinite(ll):
         return _PENALIZED
 
-    def gradient():
+    def gradient():  # of -ll, from the arrays above
         z = (x - d.mu) / d.sigma
         a = (1.0 + d.zeta - t) / (s := 1.0 + d.zeta * z)
         return -np.array([np.sum(a) / d.sigma, np.sum(a * z) - x.size,
@@ -326,15 +326,8 @@ def select_best(scored) -> tuple[FitResult, KlScore]:
     scored = list(scored)
     if not scored:
         raise ValueError("select_best needs at least one scored fit")
-    return min(
-        scored,
-        key=lambda pair: (
-            not pair[0].converged,
-            pair[1].d_kl,
-            n_params(family_tag(pair[0].dist)),
-            family_tag(pair[0].dist),
-        ),
-    )
+    return min(scored, key=lambda pair: (not pair[0].converged, pair[1].d_kl,
+                                         n_params(family_tag(pair[0].dist)), family_tag(pair[0].dist)))
 
 
 def fit_and_score(values, *, bins="fd", hist: Histogram | None = None) -> list[tuple[FitResult, KlScore]]:

@@ -124,14 +124,10 @@ _SIGNED_DIGITS = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 class BranchTable(Sequence):
-    """Branch rows stored column-wise: one numpy column per numeric
-    BranchRecord field (int64 bus numbers, float64 otherwise), and the ids.
-
-    The ids may be given as a function that returns their list: it is called
-    when ids is first read, by indexing, iteration or a caller, and not by
-    len() or take(). Reads as a sequence of BranchRecord; a record is built
-    only when a row is indexed or iterated.
-    """
+    """Branch rows stored column-wise: one numpy column per numeric BranchRecord field (int64
+    bus numbers, float64 otherwise), and the ids, or a function returning them that is called
+    when ids is first read, not by len() or take(). Reads as a sequence of BranchRecord; a
+    record is built only when a row is indexed or iterated."""
 
     __slots__ = ("_ids", *_COLUMNS)
 
@@ -148,17 +144,13 @@ class BranchTable(Sequence):
 
     @property
     def ids(self) -> list[str]:
-        if callable(self._ids):
-            self._ids = self._ids()
+        self._ids = self._ids() if callable(self._ids) else self._ids
         return self._ids
 
     @classmethod
     def from_records(cls, records) -> BranchTable:
         records = list(records)
-        return cls(
-            [r.id for r in records],
-            **{name: [getattr(r, name) for r in records] for name in _COLUMNS},
-        )
+        return cls([r.id for r in records], **{name: [getattr(r, name) for r in records] for name in _COLUMNS})
 
     def take(self, mask) -> BranchTable:
         """The rows where a boolean mask is true, in order; ids not yet read stay unread."""
@@ -260,10 +252,9 @@ def _read_columns(data: bytes | str) -> BranchTable:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = read(io.BytesIO(raw), dtype=dtype)
-    def ids():  # the id column, read again
-        return list(map(str.strip, read(io.BytesIO(raw), dtype=object, usecols=index["id"]).tolist()))
-
-    return BranchTable(ids, **{name: rows[f"f{index[name]}"].copy() for name in _COLUMNS})
+    id_column = partial(read, dtype=object, usecols=index["id"])
+    return BranchTable(lambda: list(map(str.strip, id_column(io.BytesIO(raw)).tolist())),
+                       **{name: rows[f"f{index[name]}"].copy() for name in _COLUMNS})
 
 
 def _read_rows(reader, index: dict[str, int], width: int) -> BranchTable:
@@ -468,15 +459,9 @@ def parse_matpower_case(text: bytes | str) -> tuple[float, BranchTable]:
         raise ParseError(f"branch row {i + 1}: unknown bus {int(bus_no)}", line=branch_line(i))
 
     return base_mva, BranchTable(
-        lambda: _parallel_ids(from_bus, to_bus),
-        from_bus=from_bus,
-        to_bus=to_bus,
-        from_kv=known_kv[np.searchsorted(known, from_bus)],
-        to_kv=known_kv[np.searchsorted(known, to_bus)],
-        r_pu=branch[:, 2],
-        x_pu=branch[:, 3],
-        mva_rating=branch[:, 5],
-        tap_ratio=branch[:, 8],
+        lambda: _parallel_ids(from_bus, to_bus), from_bus=from_bus, to_bus=to_bus,
+        from_kv=known_kv[np.searchsorted(known, from_bus)], to_kv=known_kv[np.searchsorted(known, to_bus)],
+        r_pu=branch[:, 2], x_pu=branch[:, 3], mva_rating=branch[:, 5], tap_ratio=branch[:, 8],
         system_mva_base=np.full(len(branch), base_mva),
     )
 

@@ -78,16 +78,10 @@ def _scale_free(f, *samples, degree: int = 1) -> float:
 
 def summarize(values) -> SummaryStats:
     arr = as_sample(values)
-    q10, med, q90 = np.quantile(arr, [0.10, 0.50, 0.90])
-    return SummaryStats(
-        n=arr.size,
-        median=float(med),
-        mean=_scale_free(np.mean, arr),
-        min=float(arr.min()),
-        max=float(arr.max()),
-        q10=float(q10),
-        q90=float(q90),
-    )
+    lo, hi = float(arr.min()), float(arr.max())
+    scale = 1.0 if math.isfinite(hi - lo) else 2.0  # past the float maximum: the halved sample's, doubled
+    q10, med, q90 = (np.quantile(arr / scale, [0.10, 0.50, 0.90]) * scale).tolist()
+    return SummaryStats(n=arr.size, median=med, mean=_scale_free(np.mean, arr), min=lo, max=hi, q10=q10, q90=q90)
 
 
 def band_fraction(values, lo: float, hi: float) -> float:
@@ -123,13 +117,14 @@ def histogram(values, bins="fd") -> Histogram:
     """bins: "fd", the Freedman-Diaconis width 2*IQR/n^(1/3) with the count clamped to [10, 200]; or a count."""
     bins = _bins(bins)
     arr = as_sample(values)
-    if float(arr.min()) == float(arr.max()):
-        raise ValueError(
-            "all values identical; a zero-width histogram is degenerate, "
-            "summarize the constant instead"
-        )
-    k = _bin_count(arr, bins)
     lo, hi = float(arr.min()), float(arr.max())
+    if lo == hi:
+        raise ValueError("all values identical; a zero-width histogram is degenerate, "
+                         "summarize the constant instead")
+    if not math.isfinite(hi - lo):  # a range past the float maximum: the halved sample's, scaled back
+        half = histogram(arr * 0.5, bins)
+        return Histogram(edges=half.edges * 2.0, densities=half.densities * 0.5, counts=half.counts)
+    k = _bin_count(arr, bins)
     # Bins narrower than the smallest normal float make count / (n * width)
     # overflow to inf; widen such a range so every density stays finite.
     hi = max(hi, lo + k * float(np.finfo(float).tiny))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -241,3 +243,29 @@ def test_average_ranks_equal_a_stable_sort(pool, seed, n):
     # from a small pool put many ties, signed zeros among them, through it.
     arr = np.random.default_rng(seed).choice(np.array(pool), n)
     assert _average_ranks(arr).tobytes() == _stable_average_ranks(arr).tobytes()
+
+
+# Bin counts at which n times the bin width stays below the float maximum.
+@pytest.mark.parametrize("values, k", [([-1e308, 1e308], 4), ([-1.7e308, 0.0, 3.0, 1e300, 1.7e308], 16)])
+def test_a_range_past_the_float_maximum_is_summarized_and_binned_on_the_halved_sample(values, k):
+    # max - min overflows, and with it numpy's quantile interpolation and bin edges.
+    x = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, half = summarize(x), summarize(x / 2)
+        h, h_half = histogram(x, k), histogram(x / 2, k)
+        fd = histogram(x)
+    assert (s.q10, s.median, s.q90) == (2 * half.q10, 2 * half.median, 2 * half.q90)
+    assert (s.min, s.max, s.n) == (x.min(), x.max(), x.size)
+    assert np.array_equal(h.edges, 2 * h_half.edges) and np.array_equal(h.counts, h_half.counts)
+    assert np.array_equal(h.densities, h_half.densities / 2)
+    for hist in (h, fd):
+        assert hist.edges[0] == x.min() and hist.edges[-1] == x.max() and hist.n == x.size
+        assert np.all(np.isfinite(hist.densities)) and np.all(np.isfinite(np.diff(hist.edges)))
+
+
+def test_summarize_and_histogram_of_plus_and_minus_1e308():
+    s = summarize([-1e308, 1e308])
+    assert s.median == 0.0 and s.q10 == -8e307 and s.q90 == pytest.approx(8e307, rel=1e-15)
+    h = histogram([-1e308, 0.0, 1e308], 4)
+    assert h.edges.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308] and h.counts.tolist() == [1, 0, 1, 1]
