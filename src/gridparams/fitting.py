@@ -128,24 +128,24 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
     which needs only values: the gradient is taken once per accepted point.
 
     Stops at max |gradient| <= gtol, at a gradient that is not finite, after
-    maxiter iterations, or when the step underflows; returns (theta,
+    maxiter iterations, or when the step underflows; returns (theta, value,
     gradient, iterations).
     """
-    fx, gradient = f(theta)
-    g = gradient()
-    h = None  # inverse Hessian; None while the search runs steepest descent
+    trial, h = f(theta), None  # h: inverse Hessian; None while the search runs steepest descent
+    # A trial is dropped before the next evaluation: its gradient function holds the objective's arrays.
+    fx, g, trial = trial[0], trial[1](), None
     for k in range(maxiter):
         if not np.all(np.isfinite(g)) or np.max(np.abs(g)) <= gtol:
-            return theta, g, k
+            return theta, fx, g, k
         p = None if h is None else -h @ g
         if p is None or not g @ p < 0:  # no descent direction: restart from steepest descent
             h, p = None, -g / max(1.0, float(np.linalg.norm(g)))
         step = 1.0
         while not (trial := f(theta + step * p))[0] <= fx + 1e-4 * step * (g @ p):
-            step *= 0.5
+            step, trial = step * 0.5, None
             if not np.any(np.abs(step * p) > np.spacing(np.abs(theta))):  # the step underflows
-                return theta, g, k
-        fx, g_next = trial[0], trial[1]()
+                return theta, fx, g, k
+        fx, g_next, trial = trial[0], trial[1](), None
         s, y = step * p, g_next - g
         # A non-finite trial gradient ends the search at the next iteration.
         if np.all(np.isfinite(y)) and (sy := s @ y) > 0:
@@ -154,7 +154,7 @@ def _bfgs(f, theta, gtol: float, maxiter: int):
             v = np.eye(theta.size) - np.outer(s, y) / sy
             h = v @ h @ v.T + np.outer(s, s) / sy
         theta, g = theta + s, g_next
-    return theta, g, maxiter
+    return theta, fx, g, maxiter
 
 
 def _fit_scored(x, make, objective, start, sigma0) -> FitResult:
@@ -177,12 +177,13 @@ def _fit_scored(x, make, objective, start, sigma0) -> FitResult:
     with np.errstate(all="ignore"):  # search points far from the optimum overflow
         # gtol scales with n: where the likelihood keeps rising toward nu = inf,
         # the log-likelihood left to gain is about the size of the score.
-        theta, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
-                              _MAXITER)
+        theta, value, g, nit = _bfgs(nll_and_gradient, np.array([0.0, *start[1:]]), 1e-8 * x.size,
+                                     _MAXITER)
         # make does not raise here: the search ends at the start or at a point
-        # whose objective is below the start's, so below _PENALTY.
+        # whose objective is below the start's, so below _PENALTY. There the
+        # objective is -log-likelihood as log_pdf sums it, bit for bit.
         d = make(start[0] + sigma0 * theta[0], theta[1], theta[2])
-        ll = _loglik(d, x)
+        ll = -value if value < _PENALTY else _loglik(d, x)
     if not math.isfinite(ll):
         message = "fitted parameters exclude part of the sample from the support"
     elif not np.all(np.isfinite(g)):

@@ -242,10 +242,11 @@ def _read_columns(data: bytes | str) -> BranchTable:
     # Without quotes a csv record is one line, so the header is the first.
     first = data.partition("\n")[0] if isinstance(data, str) else decode_utf8(raw.partition(b"\n")[0])
     header, index = _read_header(csv.reader([first]))
-    limit = csv.field_size_limit()
-    if len(raw) > limit and np.diff(np.flatnonzero(np.frombuffer(raw, np.uint8) == 10), prepend=-1,
-                                    append=len(raw)).max() > limit + 1:  # a line, its LF included
-        raise ValueError("a line past csv's field size limit")
+    # A line past csv's field size limit is csv.reader's to judge. A line feed in every
+    # whole block of half the limit bounds every line below it.
+    half = csv.field_size_limit() // 2
+    if any(raw.find(b"\n", i, i + half) < 0 for i in range(0, len(raw) - half + 1, half)):
+        raise ValueError("a line that may pass csv's field size limit")
     kinds = {index[name]: np.int64 if name in _INT_FIELDS else np.float64 for name in _COLUMNS}
     dtype = np.dtype([(f"f{i}", kinds.get(i, "U0")) for i in range(len(header))])
     read = partial(np.loadtxt, delimiter=",", comments=None, skiprows=1, ndmin=1, encoding="utf-8")

@@ -265,7 +265,7 @@ def _quadratic(theta):
 
 
 def test_bfgs_minimizes_a_quadratic():
-    theta, g, nit = fitting._bfgs(_quadratic, np.array([5.0, -3.0, 2.0]), 1e-9, 100)
+    theta, _, g, nit = fitting._bfgs(_quadratic, np.array([5.0, -3.0, 2.0]), 1e-9, 100)
     np.testing.assert_allclose(theta, np.linalg.solve(_A, _B), rtol=1e-8)
     assert np.max(np.abs(g)) <= 1e-9
     assert 0 < nit < 20
@@ -273,11 +273,11 @@ def test_bfgs_minimizes_a_quadratic():
 
 def test_bfgs_returns_at_maxiter():
     start = np.array([5.0, -3.0, 2.0])
-    theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 2)
-    assert nit == 2
+    theta, value, g, nit = fitting._bfgs(_quadratic, start, 0.0, 2)
+    assert nit == 2 and value == _quadratic(theta)[0]
     assert _quadratic(theta)[0] < _quadratic(start)[0]
     np.testing.assert_array_equal(g, _quadratic(theta)[1]())
-    theta, g, nit = fitting._bfgs(_quadratic, start, 0.0, 0)
+    theta, _, g, nit = fitting._bfgs(_quadratic, start, 0.0, 0)
     assert nit == 0 and np.array_equal(theta, start)
 
 
@@ -294,7 +294,7 @@ def test_bfgs_crosses_a_penalty_region():
         d = theta - [-3.0, 0.0, 0.0]
         return 0.5 * d @ d, lambda: d
 
-    theta, g, nit = fitting._bfgs(f, np.array([3.0, 0.0, 0.0]), 1e-10, 100)
+    theta, _, g, nit = fitting._bfgs(f, np.array([3.0, 0.0, 0.0]), 1e-10, 100)
     np.testing.assert_allclose(theta, [-3.0, 0.0, 0.0], atol=1e-10)
     assert any(1.5 < t[0] < 2.5 for t in visited)
     assert np.all(np.isfinite(visited)) and np.all(np.isfinite(g))
@@ -333,7 +333,7 @@ def test_bfgs_takes_one_gradient_per_accepted_point():
         return 0.5 * d @ d, lambda: d
 
     log = []
-    theta, g, nit = fitting._bfgs(_logged(f, log), np.array([3.0, 0.0, 0.0]), 1e-10, 100)
+    theta, _, g, nit = fitting._bfgs(_logged(f, log), np.array([3.0, 0.0, 0.0]), 1e-10, 100)
     accepted, rejected = _accepted_and_rejected(log)
     assert len(accepted) == nit + 1
     assert len(log) - len(accepted) == len(accepted) + len(rejected)
@@ -371,7 +371,7 @@ def _scipy_bfgs(f, theta, gtol, maxiter):
         return value, gradient()
 
     res = minimize(value_and_gradient, theta, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": gtol})
-    return res.x, res.jac, res.nit
+    return res.x, res.fun, res.jac, res.nit
 
 
 @settings(max_examples=60, deadline=None)
