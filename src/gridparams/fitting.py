@@ -208,7 +208,6 @@ def _tls_objective(d: Tls, x: np.ndarray):
     ll = float(np.sum(log_f0 - math.log(d.sigma) - ((d.nu + 1.0) / 2.0) * log_terms))
     if not math.isfinite(ll):
         return _PENALIZED
-
     def gradient():  # of -ll, from the arrays above
         wz = (d.nu + 1.0) * z / (d.nu + zz)
         wzz = wz * z
@@ -230,7 +229,6 @@ def _gev_objective(d: Gev, x: np.ndarray):
     ll = float(np.sum(-math.log(d.sigma) - (1.0 + 1.0 / d.zeta) * log_s - t))
     if not math.isfinite(ll):
         return _PENALIZED
-
     def gradient():  # of -ll, from the arrays above
         z = (x - d.mu) / d.sigma
         a = (1.0 + d.zeta - t) / (s := 1.0 + d.zeta * z)
@@ -327,8 +325,15 @@ def select_best(scored) -> tuple[FitResult, KlScore]:
     scored = list(scored)
     if not scored:
         raise ValueError("select_best needs at least one scored fit")
-    return min(scored, key=lambda pair: (not pair[0].converged, pair[1].d_kl,
-                                         n_params(family_tag(pair[0].dist)), family_tag(pair[0].dist)))
+    return min(
+        scored,
+        key=lambda pair: (
+            not pair[0].converged,
+            pair[1].d_kl,
+            n_params(family_tag(pair[0].dist)),
+            family_tag(pair[0].dist),
+        ),
+    )
 
 
 def fit_and_score(values, *, bins="fd", hist: Histogram | None = None) -> list[tuple[FitResult, KlScore]]:

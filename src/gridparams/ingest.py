@@ -231,11 +231,9 @@ def _read_columns(data: bytes | str) -> BranchTable:
     numpy's reader does. Floats are parsed as float() parses them. numpy's
     int64 parser reads a sign, ASCII digits and whitespace as int() does and
     rejects the rest of what int() reads; before numpy 2.0 it warns on float
-    text such as "5.0". So both readers accept the same rows, with the same
-    values. The id column, and any column outside CSV_HEADER, is read into a
-    zero-width text field, which keeps the reader's per-row field count; the
-    table's id source reads the id column again.
-    """
+    text such as "5.0". So both readers accept the same rows, with the same values. The id column,
+    and any column outside CSV_HEADER, goes into a zero-width text field, which keeps numpy's
+    per-row field count; the table reads the id column again when its ids are first read."""
     raw = data.encode() if isinstance(data, str) else data
     if not raw or b'"' in raw or b"\0" in raw:
         raise ValueError("text for the row-wise reader")
