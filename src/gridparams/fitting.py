@@ -33,7 +33,7 @@ from .distributions import (
     _gev_support,
     _tls_constants,
 )
-from .stats import Histogram, _scale_free, as_sample, histogram
+from .stats import Histogram, _median, _quantiles, _scale_free, as_sample, histogram
 
 __all__ = [
     "FitResult",
@@ -112,7 +112,7 @@ def _fit_normal(x: np.ndarray) -> FitResult:
 
 
 def _scale_guess(x: np.ndarray) -> float:
-    q25, q75 = np.quantile(x, [0.25, 0.75])
+    q25, q75 = _quantiles(x, [0.25, 0.75])
     iqr = float(q75 - q25)
     if iqr > 0:
         return iqr / 1.349
@@ -245,7 +245,7 @@ def _fit_tls(x: np.ndarray) -> FitResult:
     def make(mu, s, t) -> Tls:
         return Tls(mu=float(mu), sigma=math.exp(s), nu=math.exp(t))
 
-    start = [float(np.median(x)), math.log(sigma0), math.log(5.0)]
+    start = [_median(x), math.log(sigma0), math.log(5.0)]
     res = _fit_scored(x, make, _tls_objective, start, sigma0)
     # A small sample's likelihood can peak both at a heavy tail and toward the
     # normal limit nu = inf, with a saddle between that the search may cross

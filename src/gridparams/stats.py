@@ -1,8 +1,9 @@
 """Descriptive statistics for per-class parameter samples.
 
 Quantiles use linear interpolation at rank h = (n - 1) * p + 1 (numpy's
-default, the common "type 7" convention). The 80% range of a sample is
-reported as [q10, q90].
+default, the common "type 7" convention), read from one sort with numpy's bits
+(but a zero's sign where a sample holds 0.0 and -0.0). The 80% range of a
+sample is reported as [q10, q90].
 """
 
 from __future__ import annotations
@@ -76,11 +77,31 @@ def _scale_free(f, *samples, degree: int = 1) -> float:
         return math.ldexp(float(value), degree * exps[0])
 
 
+def _quantiles(arr: np.ndarray, qs) -> np.ndarray:
+    """np.quantile(arr, qs) by its "linear" method (Hyndman & Fan 1996, type 7), as numpy 1.24 to 2.4 compute it,
+    from one np.sort: numpy selects by partition, and its first call imports numpy.ma."""
+    s = np.sort(arr)
+    v = (s.size - 1) * np.asarray(qs, dtype=float)
+    i = np.where(v >= s.size - 1, -1, np.floor(v)).astype(np.intp)  # at or past the top: both neighbours are s[-1]
+    a, b, t = s[i], s[i + (i >= 0)], v - i
+    out = a + (b - a) * t
+    np.subtract(b, (b - a) * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
+def _median(arr: np.ndarray) -> float:
+    """np.median(arr) from one np.sort: the mean of the middle two (one value twice for an odd count), summed from
+    0.0 as np.mean sums them; where those two sum past the float maximum, the sum of their halves, not inf."""
+    s = np.sort(arr)
+    a, b = float(s[(s.size - 1) // 2]), float(s[s.size // 2])
+    return (0.0 + a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
+
+
 def summarize(values) -> SummaryStats:
     arr = as_sample(values)
     lo, hi = float(arr.min()), float(arr.max())
     scale = 1.0 if math.isfinite(hi - lo) else 2.0  # past the float maximum: the halved sample's, doubled
-    q10, med, q90 = (np.quantile(arr / scale, [0.10, 0.50, 0.90]) * scale).tolist()
+    q10, med, q90 = (_quantiles(arr / scale, [0.10, 0.50, 0.90]) * scale).tolist()
     return SummaryStats(n=arr.size, median=med, mean=_scale_free(np.mean, arr), min=lo, max=hi, q10=q10, q90=q90)
 
 
@@ -105,7 +126,7 @@ def _bin_count(arr: np.ndarray, bins) -> int:
     if bins != "fd":
         return bins
     span = float(arr.max() - arr.min())
-    q25, q75 = np.quantile(arr, [0.25, 0.75])
+    q25, q75 = _quantiles(arr, [0.25, 0.75])
     iqr = float(q75 - q25)
     width = 2.0 * iqr / arr.size ** (1.0 / 3.0)
     if width <= 0 or span / width > _FD_MAX_BINS:
@@ -130,7 +151,9 @@ def histogram(values, bins="fd") -> Histogram:
     hi = max(hi, lo + k * float(np.finfo(float).tiny))
     counts, edges = np.histogram(arr, bins=k, range=(lo, hi))
     widths = np.diff(edges)
-    densities = counts / (arr.size * widths)
+    with np.errstate(over="ignore"):  # where n * width passes the float maximum, divide in two steps
+        n_widths = arr.size * widths
+    densities = np.where(np.isinf(n_widths), counts / arr.size / widths, counts / n_widths)
     return Histogram(edges=edges, densities=densities, counts=counts)
 
 

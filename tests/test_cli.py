@@ -260,6 +260,25 @@ def test_generate_loads_no_scipy(tmp_path):
     assert proc.stdout.strip().endswith("[0, 0, 0, 0] []")
 
 
+def test_ingest_commands_load_numpy_ma_only_if_numpy_does(tmp_path):
+    # np.quantile and np.median import numpy.ma on their first call (numpy 2); the
+    # package reads every quantile from one np.sort. numpy 1.x imports numpy.ma eagerly.
+    fleet = _generate_branches(tmp_path, n=150)
+    case = tmp_path / "case3.m"
+    case.write_text(CASE3)
+    argvs = [[command, *source, "--out", str(tmp_path / f"{command}{i}")]
+             for i, source in enumerate([["--branches", str(fleet)], ["--case", str(case)]])
+             for command in ("analyze", "fit", "validate", "hist")]
+    proc = _gridparams(
+        "-c",
+        "import sys, numpy; eager = 'numpy.ma' in sys.modules; from gridparams.cli import run; "
+        f"codes = [run(argv) for argv in {argvs!r}]; "
+        "print(codes, eager, 'numpy.ma' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith(("[0, 0, 0, 0, 0, 0, 2, 0] False False", "[0, 0, 0, 0, 0, 0, 2, 0] True True"))
+
+
 def _as_matpower_case(fleet, path):
     """The branch CSV as a MATPOWER case, two buses of its own per branch."""
     rows = [line.split(",") for line in fleet.read_text().splitlines()[1:]]
@@ -728,6 +747,11 @@ _EXTREME = {
         (f"l{i}", 2 * i + 1, 2 * i + 2, 138, 138, 1e306 * (1 + i / 30), 1e307 * (1 + i / 30), 100 + 5 * i, 0, 100)
         for i in range(30)
     ),
+    # n times a bin width, and the sum of the middle two, pass the float maximum.
+    "lines308": _extreme_csv(
+        (f"l{i}", 2 * i + 1, 2 * i + 2, 138, 138, 1e307 * (1 + i / 40), 1e308 * (1 + i / 40), 100 + 5 * i, 0, 100)
+        for i in range(30)
+    ),
 }
 
 
@@ -750,9 +774,11 @@ def test_extreme_samples_give_finite_reports_without_a_warning(tmp_path, capsys,
         assert run(["hist", "--branches", str(branches), "--out", str(tmp_path / "hist")]) == 0
     assert capsys.readouterr().err == ""
     classes = reports["analyze"]["classes"]
-    if name == "lines":
+    if name.startswith("lines"):
         mean = classes["138"]["LineReactanceCommonBase"]["mean"]
-        assert mean == pytest.approx(1e307 * (1 + 14.5 / 30), rel=1e-12)
+        assert mean == pytest.approx({"lines": 1e307 * (1 + 14.5 / 30), "lines308": 1.3625e308}[name], rel=1e-12)
+        cell = reports["fit"]["fits"]["138"]["LineReactanceCommonBase"]
+        assert [f["family"] for f in cell["fits"]] == ["tls", "gev", "exponential", "normal"]
     else:  # the true values, the same for both scales
         d = classes["115"]["decorrelation"]
         assert d["pearson_own"] == pytest.approx(0.9931211200964818, abs=1e-12)

@@ -112,6 +112,19 @@ def test_t_fit_scale_guess_falls_back_to_the_standard_deviation():
         fitting._scale_guess(np.ones(8))
 
 
+def test_t_fit_starts_at_a_finite_median_where_the_middle_two_sum_past_the_float_maximum():
+    # The middle values 1.35e308 and 1.375e308: their sum overflows, so np.median
+    # gave inf, Tls(mu=inf) raised, and fit_and_score dropped the t family.
+    x = 1e308 * (1 + np.arange(30) / 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_mle("tls", x)
+        families = [type(fit.dist).__name__ for fit, _ in fit_and_score(x)]
+    assert isinstance(res.dist, Tls) and math.isfinite(res.log_likelihood)
+    assert x[0] < res.dist.mu < x[-1]
+    assert families == ["Tls", "Gev", "Exponential", "Normal"]
+
+
 @pytest.mark.parametrize("zeta, pinned", [(0.0, 1e-6), (5e-7, 1e-6), (-5e-7, -1e-6), (-1e-6, -1e-6), (0.3, 0.3)])
 def test_gev_shape_near_zero_is_pinned_off_the_gumbel_limit(zeta, pinned):
     assert fitting._clamp_zeta(zeta) == pinned

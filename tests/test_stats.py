@@ -9,6 +9,8 @@ from scipy.stats import rankdata
 
 from gridparams.stats import (
     _average_ranks,
+    _median,
+    _quantiles,
     Histogram,
     band_fraction,
     histogram,
@@ -269,3 +271,44 @@ def test_summarize_and_histogram_of_plus_and_minus_1e308():
     assert s.median == 0.0 and s.q10 == -8e307 and s.q90 == pytest.approx(8e307, rel=1e-15)
     h = histogram([-1e308, 0.0, 1e308], 4)
     assert h.edges.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308] and h.counts.tolist() == [1, 0, 1, 1]
+
+
+# Ties, huge values and subnormals, with numpy's own float strategy for the rest.
+_order_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 2.5, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_qs = st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6)
+
+
+@given(st.lists(_order_values, min_size=1, max_size=80), _qs)
+def test_quantiles_and_median_are_numpys_bits(values, qs):
+    x = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's result where the neighbours' gap overflows
+        got, want = _quantiles(x, qs), np.quantile(x, qs)
+        median = np.median(x)
+    negative_zeros = np.signbit(x[x == 0.0])
+    if 0 < negative_zeros.sum() < negative_zeros.size:
+        # A sort and a partition may order 0.0 and -0.0 differently: only a zero's sign may differ.
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        assert got.tobytes() == want.tobytes()
+    s = np.sort(x)
+    if np.isfinite(median):
+        assert np.float64(_median(x)).tobytes() == median.tobytes()
+    else:  # the middle two sum past the float maximum: halved first
+        assert _median(x) == s[x.size // 2 - 1] / 2 + s[x.size // 2] / 2 and np.isfinite(_median(x))
+
+
+@pytest.mark.parametrize("values", [
+    [-1.7e308, 0.0, 3.0, 1e300, 1.7e308],
+    [1e308 * (1 + i / 40) for i in range(30)],  # 30 values from 1e308 to 1.725e308
+])
+@pytest.mark.parametrize("bins", [4, "fd"])
+def test_histogram_densities_stay_finite_where_n_times_a_bin_width_overflows(values, bins):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = histogram(values, bins)
+    widths = np.diff(h.edges)
+    assert np.all(h.densities[h.counts > 0] > 0) and np.all(np.isfinite(h.densities))
+    assert np.sum(h.densities * widths) == pytest.approx(1.0, rel=1e-12)
