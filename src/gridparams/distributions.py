@@ -6,14 +6,15 @@ MVA rating and X/R ratio, exponential (mean parameterization) for line
 reactance, and normal for line capacity and line X/R.
 
 Every family supports ``pdf``, ``cdf``, ``quantile``, and seeded
-inverse-transform ``sample``. Densities, cdfs and quantiles are the
-package's own numerics on numpy, so fitting, scoring and sampling load no
-other numerical library. Uniform variates come from numpy's PCG64 bit
-generator seeded through ``SeedSequence(seed)``; callers that need several
-independent streams must derive them with ``SeedSequence(seed).spawn(k)``
-and consume the children in a fixed, documented order. With that rule,
-identical (distribution, seed, n) inputs reproduce bit-identical draws
-across runs and platforms.
+inverse-transform ``sample``; one inversion routine on an interval draws
+``sample`` and every stream of the generators in ``sampler``. Densities,
+cdfs and quantiles are the package's own numerics on numpy, so fitting,
+scoring and sampling load no other numerical library. Uniform variates come
+from numpy's PCG64 bit generator seeded through ``SeedSequence(seed)``;
+callers that need several independent streams must derive them with
+``SeedSequence(seed).spawn(k)`` and consume the children in a fixed,
+documented order. With that rule, identical (distribution, seed, n) inputs
+reproduce bit-identical draws across runs and platforms.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ __all__ = [
     "number_from_json",
 ]
 
-#: Smallest uniform variate fed to the quantile transform. ``Generator.random``
-#: can return exactly 0.0, which most quantile functions reject.
-_U_MIN = 2.0 ** -53
+#: Least mass of an interval to sample, in spacings of F(hi): on less, the draws would sit on a grid of p.
+_MIN_MASS_SPACINGS = 2.0 ** 20
 
 #: t shape above which the log-density's constant and its derivative in nu
 #: come from series in 1/nu, exact where gammaln and digamma terms cancel.
@@ -391,11 +391,24 @@ def quantile(d: DistSpec, p):
     return d.mu + d.sigma * _ndtri(p)
 
 
+def _inverse_transform(d: DistSpec, rng, n: int, lo: float, hi: float, what: str) -> np.ndarray:
+    """n draws of d from rng on (lo, hi] by inversion (Devroye 1986, II.2): quantile(F(lo) + u (F(hi) - F(lo)))
+    for one uniform u >= 2**-53 per draw, clamped into (lo, hi], so draw i uses only uniform i. On the whole line
+    a draw is quantile(u), an infinite one keeping its sign. ValueError naming what if the interval is too thin."""
+    f_lo, f_hi = cdf(d, np.array([lo, hi], dtype=float)).tolist()
+    if not f_hi - f_lo >= _MIN_MASS_SPACINGS * np.spacing(f_hi):
+        raise ValueError(
+            f"{what}: the interval ({lo!r}, {hi!r}] holds mass {f_hi - f_lo:.3g} under {d}, too little to sample"
+        )
+    u = rng.random(n)
+    np.maximum(u, 2.0 ** -53, out=u)  # random() can yield 0.0, which the quantile rejects
+    p = np.clip(f_lo + u * (f_hi - f_lo), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return np.clip(quantile(d, p), lo if lo == -math.inf else np.nextafter(lo, math.inf), hi)
+
+
 def sample_stream(d: DistSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n values by inverse transform from an existing generator."""
-    u = rng.random(n)
-    np.maximum(u, _U_MIN, out=u)  # random() yields [0, 1); keep strictly inside
-    return quantile(d, u)
+    return _inverse_transform(d, rng, n, -math.inf, math.inf, "sample_stream")
 
 
 def sample(d: DistSpec, seed: int, n: int) -> np.ndarray:

@@ -197,6 +197,7 @@ def parse_branch_csv(data: bytes | str) -> BranchTable:
     size limit), and text it rejects or warns on, go through the row-wise
     reader instead, which alone names a bad row's line and field.
     """
+    data = data.removeprefix("\ufeff") if isinstance(data, str) else data  # as decode_utf8 does for bytes
     try:
         return _read_columns(data)
     except (ValueError, Warning):

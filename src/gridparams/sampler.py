@@ -2,10 +2,10 @@
 
 Transformers: MVA rating, own-base reactance, and X/R are drawn from
 three mutually independent streams (SeedSequence(seed).spawn(3), in that
-fixed order), each truncated to its profile range by inversion. The
-independence of the own-base draws is the modeling choice that makes
-common-base reactance anticorrelate with rating after conversion, while
-own-base reactance stays uncorrelated.
+fixed order), each truncated to its profile range by the inversion that
+draws distributions.sample. The independence of the own-base draws is the
+modeling choice that makes common-base reactance anticorrelate with rating
+after conversion, while own-base reactance stays uncorrelated.
 
 Lines: common-base reactance (exponential), capacity and X/R (normal,
 truncated positive) from spawn(3) streams in the order
@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .distributions import _U_MIN, DistSpec, Exponential, Tls, _require, cdf, quantile
+from .distributions import Exponential, Tls, _inverse_transform, _require, cdf
 from .ingest import BranchKind, BranchTable, _csv_text
 from .profiles import ParameterKind, ReferenceEntry, lookup
 
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_TLS_NU",
     "SyntheticBranchParams",
     "SyntheticTable",
-    "CalibratedTls",
     "calibrate_reactance_tls",
     "generate_transformers",
     "generate_lines",
@@ -48,10 +47,6 @@ DEFAULT_LINE_REACTANCE_MEAN = 0.02 / math.log(10.0)
 
 #: Shape for calibrated reactance distributions: moderately heavy tails.
 DEFAULT_TLS_NU = 3.0
-
-#: Least mass of a truncation interval, in spacings of the floats at F(hi): draws on a
-#: thinner interval would sit on a visible grid of the representable p.
-_MIN_MASS_SPACINGS = 2.0 ** 20
 
 _CALIBRATION_TOL = 1e-6
 
@@ -144,35 +139,22 @@ def _row(kind: int, *values: float) -> SyntheticBranchParams:
     return SyntheticBranchParams(_KINDS[kind], *values)
 
 
-@dataclass(frozen=True)
-class CalibratedTls:
-    """Calibrated reactance distribution; residual is the absolute gap
-    between achieved and targeted band mass."""
-
-    dist: Tls
-    residual: float
-
-    def __post_init__(self):
-        _require("residual", self.residual, ">= 0")
-
-
 def calibrate_reactance_tls(
     target: ReferenceEntry,
     nu: float = DEFAULT_TLS_NU,
     *,
     truncate_to: tuple[float, float] = (-math.inf, math.inf),
-) -> CalibratedTls:
-    """Solve for the t location-scale distribution with location at the
+) -> tuple[Tls, float]:
+    """(dist, residual): the t location-scale distribution with location at the
     target's median whose band mass equals the band fraction within
-    _CALIBRATION_TOL. The band mass is the mass of the band's part inside
-    the truncation window truncate_to=(lo, hi], conditional on the window,
-    which is what a sampler truncated to it draws. The default window is
-    the whole line, where this is the plain mass on the band.
+    _CALIBRATION_TOL, and the absolute gap between the two. The band mass is the
+    mass of the band's part inside the truncation window truncate_to=(lo, hi],
+    conditional on the window, which is what a sampler truncated to it draws.
+    The default window is the whole line, where this is the plain mass on the band.
     """
     if not nu > 1:
         raise ValueError(f"nu must be > 1, got {nu}")
-    mu = _needs(target, target.summary and target.summary.median, "a summary median")
-    band = _needs(target, target.band, "a band")
+    mu, band = _field(target, "median"), _field(target, "band")
     if not band.lo < mu < band.hi:
         raise ValueError(
             f"band [{band.lo}, {band.hi}] must contain the median {mu} "
@@ -219,7 +201,7 @@ def calibrate_reactance_tls(
     while sigma_lo < (sigma := 0.5 * (sigma_lo + sigma_hi)) < sigma_hi or sigma_lo == sigma_hi:
         m = mass(sigma)
         if abs(m - band.fraction) <= _CALIBRATION_TOL:
-            return CalibratedTls(dist=Tls(mu=mu, sigma=sigma, nu=nu), residual=abs(m - band.fraction))
+            return Tls(mu=mu, sigma=sigma, nu=nu), abs(m - band.fraction)
         if m > band.fraction:
             sigma_lo = sigma
         else:
@@ -230,42 +212,35 @@ def calibrate_reactance_tls(
     )
 
 
-def _require_entry(profile, kind: ParameterKind, class_kv: float) -> ReferenceEntry:
-    entry = lookup(profile, kind, class_kv)
-    if entry is None:
-        raise ValueError(f"profile lacks {kind.value} for class {class_kv:g} kV")
-    return entry
-
-
-def _needs(entry: ReferenceEntry, value, what: str):
-    """value, or ValueError naming entry and what it lacks if value is None."""
+def _field(entry: ReferenceEntry, name: str):
+    """entry's "fitted" parameters, "band" or summary value name; ValueError naming entry if it is None."""
+    source = entry if name in ("fitted", "band") else entry.summary
+    value = source and getattr(source, name)
     if value is None:
+        what = {"fitted": "fitted parameters", "band": "a band"}.get(name, f"a summary {name}")
         raise ValueError(f"{entry.kind.value} at {entry.class_kv:g} kV needs {what}")
     return value
 
 
-def _sample_truncated(
-    d: DistSpec, rng: np.random.Generator, n: int, lo: float, hi: float, entry: ReferenceEntry
-) -> np.ndarray:
-    """n draws of d from rng restricted to (lo, hi], by inversion: one uniform u per
-    draw (u >= 2**-53, as sample_stream draws it) and quantile(F(lo) + u (F(hi) - F(lo))),
-    clamped into (lo, hi]. Draw i uses only the i-th uniform. ValueError names entry
-    when the interval is too thin to sample."""
-    f_lo, f_hi = cdf(d, np.array([lo, hi], dtype=float)).tolist()
-    if not f_hi - f_lo >= _MIN_MASS_SPACINGS * np.spacing(f_hi):
-        raise ValueError(
-            f"{entry.kind.value} at {entry.class_kv:g} kV: the interval ({lo!r}, {hi!r}] holds "
-            f"mass {f_hi - f_lo:.3g} under {d}, too little to sample"
-        )
-    u = rng.random(n)
-    np.maximum(u, _U_MIN, out=u)
-    p = np.clip(f_lo + u * (f_hi - f_lo), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    return np.clip(quantile(d, p), np.nextafter(lo, math.inf), hi)
+def _resolve(profile, class_kv: float, *needs: tuple) -> list[tuple]:
+    """(entry, *values) for each (kind, *fields) of needs, in order: the profile's entry for kind at class_kv,
+    then _field(entry, field) per field; ValueError names the first entry the profile lacks, if any."""
+    resolved = []
+    for kind, *fields in needs:
+        entry = lookup(profile, kind, class_kv)
+        if entry is None:
+            raise ValueError(f"profile lacks {kind.value} for class {class_kv:g} kV")
+        resolved.append((entry, *(_field(entry, f) for f in fields)))
+    return resolved
 
 
-def _spawn_streams(seed: int, k: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(k)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+def _draw(seed: int, n: int, *streams: tuple) -> list[np.ndarray]:
+    """n draws for each (entry, dist, lo, hi) of streams on (lo, hi], from child i of SeedSequence(seed).spawn(k)
+    for stream i of k; ValueError names the entry of an interval too thin to sample."""
+    children = np.random.SeedSequence(seed).spawn(len(streams))
+    return [_inverse_transform(d, np.random.Generator(np.random.PCG64(child)), n, lo, hi,
+                               f"{entry.kind.value} at {entry.class_kv:g} kV")
+            for child, (entry, d, lo, hi) in zip(children, streams)]
 
 
 def generate_transformers(
@@ -287,23 +262,15 @@ def generate_transformers(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require("system_mva_base", system_mva_base)
-    x_entry = _require_entry(profile, ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, class_kv)
-    mva_entry = _require_entry(profile, ParameterKind.TRANSFORMER_MVA_RATING, class_kv)
-    xr_entry = _require_entry(profile, ParameterKind.TRANSFORMER_XR, class_kv)
-
-    mva_dist = _needs(mva_entry, mva_entry.fitted, "fitted parameters")
-    xr_dist = _needs(xr_entry, xr_entry.fitted, "fitted parameters")
-    mva_lo = _needs(mva_entry, mva_entry.summary and mva_entry.summary.min, "a summary min")
-    mva_hi = _needs(mva_entry, mva_entry.summary and mva_entry.summary.max, "a summary max")
-    x_max = _needs(x_entry, x_entry.summary and x_entry.summary.max, "a summary max")
-    xr_max = _needs(xr_entry, xr_entry.summary and xr_entry.summary.max, "a summary max")
-
-    calibrated = calibrate_reactance_tls(x_entry, nu, truncate_to=(0.0, x_max))
-
-    rng_mva, rng_x, rng_xr = _spawn_streams(seed, 3)
-    mva = _sample_truncated(mva_dist, rng_mva, n, mva_lo, mva_hi, mva_entry)
-    x_own = _sample_truncated(calibrated.dist, rng_x, n, 0.0, x_max, x_entry)
-    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, xr_max, xr_entry)
+    (x_entry, x_max), mva_stream, (xr_entry, xr_dist, xr_max) = _resolve(
+        profile, class_kv, (ParameterKind.TRANSFORMER_REACTANCE_OWN_BASE, "max"),
+        (ParameterKind.TRANSFORMER_MVA_RATING, "fitted", "min", "max"),
+        (ParameterKind.TRANSFORMER_XR, "fitted", "max"),
+    )
+    x_dist, _ = calibrate_reactance_tls(x_entry, nu, truncate_to=(0.0, x_max))
+    # The rating's (entry, fitted, min, max) is its stream, drawn on (min, max].
+    mva, x_own, xr_draw = _draw(seed, n, mva_stream, (x_entry, x_dist, 0.0, x_max),
+                                (xr_entry, xr_dist, 0.0, xr_max))
 
     r_own = x_own / xr_draw
     return SyntheticTable(
@@ -323,18 +290,13 @@ def generate_lines(class_kv: float, n: int, seed: int, profile) -> SyntheticTabl
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x_entry = _require_entry(profile, ParameterKind.LINE_REACTANCE_COMMON_BASE, class_kv)
-    cap_entry = _require_entry(profile, ParameterKind.LINE_CAPACITY, class_kv)
-    xr_entry = _require_entry(profile, ParameterKind.LINE_XR, class_kv)
-
+    (x_entry,), (cap_entry, cap_dist), (xr_entry, xr_dist) = _resolve(
+        profile, class_kv, (ParameterKind.LINE_REACTANCE_COMMON_BASE,),
+        (ParameterKind.LINE_CAPACITY, "fitted"), (ParameterKind.LINE_XR, "fitted"),
+    )
     x_dist = x_entry.fitted if x_entry.fitted is not None else Exponential(DEFAULT_LINE_REACTANCE_MEAN)
-    cap_dist = _needs(cap_entry, cap_entry.fitted, "fitted parameters")
-    xr_dist = _needs(xr_entry, xr_entry.fitted, "fitted parameters")
-
-    rng_x, rng_cap, rng_xr = _spawn_streams(seed, 3)
-    x = _sample_truncated(x_dist, rng_x, n, 0.0, math.inf, x_entry)
-    cap = _sample_truncated(cap_dist, rng_cap, n, 0.0, math.inf, cap_entry)
-    xr_draw = _sample_truncated(xr_dist, rng_xr, n, 0.0, math.inf, xr_entry)
+    x, cap, xr_draw = _draw(seed, n, (x_entry, x_dist, 0.0, math.inf), (cap_entry, cap_dist, 0.0, math.inf),
+                            (xr_entry, xr_dist, 0.0, math.inf))
 
     r = x / xr_draw
     return SyntheticTable(

@@ -39,7 +39,6 @@ from gridparams.ingest import BranchKind, BranchRecord, BranchTable, voltage_cla
 from gridparams.per_unit import BaseSpec, rebase_impedance, to_own_base, xr_ratio
 from gridparams.profiles import ParameterKind, ReferenceEntry, SummaryRef, ValidationThresholds, builtin_profile
 from gridparams.sampler import (
-    CalibratedTls,
     SyntheticBranchParams,
     SyntheticTable,
     generate_transformers,
@@ -114,7 +113,6 @@ _RULES = [
         ParameterKind.LINE_XR, 115.0, family="normal", fitted=Normal(8.0, 3.0), reference_d_kl=v)),
     *[(f"threshold {f.name}", ">= 0", lambda v, f=f: ValidationThresholds(**{f.name: v}))
       for f in dataclasses.fields(ValidationThresholds)],
-    ("residual", ">= 0", lambda v: CalibratedTls(Tls(0.0, 1.0, 3.0), v)),
     ("system_mva_base", "> 0",
      lambda v: generate_transformers(115.0, 3, seed=5, profile=builtin_profile(), system_mva_base=v)),
     ("system_mva_base", "> 0", lambda v: params_to_branch_records(_transformers(), v)),
@@ -929,6 +927,17 @@ def test_sample_stream_advances_state():
     a = sample_stream(d, rng, 50)
     b = sample_stream(d, rng, 50)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_SPECS_ACROSS_FLOAT_RANGE, seed=st.integers(0, 2**63 - 1), n=st.integers(1, 200))
+@example(d=Tls(0.0, 1.0, 1e-3), seed=0, n=200)  # about half the draws are -inf or inf
+def test_sample_stream_is_the_quantile_of_its_uniforms(d, seed, n):
+    # The whole line's interval has F(lo) = 0 and F(hi) = 1 exactly, so p is u itself, and
+    # a draw at -inf keeps its sign: nothing clamps a lower end of -inf.
+    u = np.random.default_rng(seed).random(n)
+    expected = quantile(d, np.maximum(u, 2.0 ** -53))
+    assert sample_stream(d, np.random.default_rng(seed), n).tobytes() == expected.tobytes()
 
 
 def test_sample_matches_quantile_transform():

@@ -1,6 +1,7 @@
 """Reactance calibration and synthetic parameter generation."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridparams import sampler
+from gridparams import distributions, sampler
 from gridparams.distributions import Exponential, Gev, Normal, Tls, cdf, quantile, sample_stream
 from gridparams.ingest import (
     BranchKind,
@@ -30,7 +31,6 @@ from gridparams.profiles import (
 from gridparams.sampler import (
     DEFAULT_LINE_REACTANCE_MEAN,
     PARAMS_CSV_HEADER,
-    CalibratedTls,
     SyntheticBranchParams,
     SyntheticTable,
     calibrate_reactance_tls,
@@ -72,25 +72,23 @@ def _line_profile():
 def test_calibration_hits_median_and_band():
     entry = _band_target()
     band = entry.band
-    cal = calibrate_reactance_tls(entry)
-    d = cal.dist
+    d, residual = calibrate_reactance_tls(entry)
     assert d.mu == entry.summary.median  # exact by construction
     mass = cdf(d, band.hi) - cdf(d, band.lo)
     assert mass == pytest.approx(band.fraction, abs=1e-6)
-    assert cal.residual <= 1e-6
+    assert residual <= 1e-6
 
 
 def test_calibration_truncated_mass():
     entry = _band_target()
     band = entry.band
-    cal = calibrate_reactance_tls(entry, truncate_to=(0.0, entry.summary.max))
-    d = cal.dist
+    d, _ = calibrate_reactance_tls(entry, truncate_to=(0.0, entry.summary.max))
     total = cdf(d, entry.summary.max) - cdf(d, 0.0)
     mass = (cdf(d, band.hi) - cdf(d, band.lo)) / total
     assert mass == pytest.approx(band.fraction, abs=1e-6)
     # conditioning shifts the raw sigma relative to the untruncated solve
-    raw = calibrate_reactance_tls(entry)
-    assert d.sigma != raw.dist.sigma
+    raw, _ = calibrate_reactance_tls(entry)
+    assert d.sigma != raw.sigma
 
 
 def test_calibration_rejects_bad_nu():
@@ -123,7 +121,7 @@ def test_calibration_halves_the_scale_until_the_band_mass_is_reached():
     # The band is 1e50 times wider than the median's gap to its lower edge, so
     # the mass first reaches the fraction about 220 halvings down.
     lo = math.nextafter(1.0, 0.0)
-    d = calibrate_reactance_tls(_band_entry(1.0, lo, 1e50, 0.9)).dist
+    d, _ = calibrate_reactance_tls(_band_entry(1.0, lo, 1e50, 0.9))
     assert float(cdf(d, 1e50) - cdf(d, lo)) == pytest.approx(0.9, abs=1e-6)
 
 
@@ -132,9 +130,9 @@ def test_calibration_bisects_a_bracket_of_many_orders_of_magnitude():
     # stopped short with a residual of 0.4, and the bisection now ends only
     # when the bracket is two adjacent floats.
     lo = math.nextafter(1.0, 0.0)
-    cal = calibrate_reactance_tls(_band_entry(1.0, lo, 1e300, 0.9))
-    assert cal.residual <= 1e-6
-    assert float(cdf(cal.dist, 1e300) - cdf(cal.dist, lo)) == pytest.approx(0.9, abs=1e-6)
+    d, residual = calibrate_reactance_tls(_band_entry(1.0, lo, 1e300, 0.9))
+    assert residual <= 1e-6
+    assert float(cdf(d, 1e300) - cdf(d, lo)) == pytest.approx(0.9, abs=1e-6)
 
 
 def test_calibration_solves_at_a_one_point_bracket():
@@ -142,7 +140,7 @@ def test_calibration_solves_at_a_one_point_bracket():
     sigma = 0.5 * (0.2 - 0.05)
     edges = cdf(Tls(0.1291, sigma, 3.0), np.array([0.05, 0.2]))
     cal = calibrate_reactance_tls(_band_entry(0.1291, 0.05, 0.2, float(edges[1] - edges[0])))
-    assert cal == CalibratedTls(Tls(0.1291, sigma, 3.0), 0.0)
+    assert cal == (Tls(0.1291, sigma, 3.0), 0.0)
 
 
 def test_calibration_that_cannot_reach_the_tolerance_reports_the_last_residual():
@@ -201,11 +199,11 @@ def test_calibration_solves_the_conditional_mass_of_the_band_inside_the_window(m
     lo, hi = mu - mu * band[0], mu + mu * band[1]
     t_lo, t_hi = mu - mu * window[0], mu + mu * window[1]
     try:
-        cal = calibrate_reactance_tls(_band_entry(mu, lo, hi, fraction), nu, truncate_to=(t_lo, t_hi))
+        d, _ = calibrate_reactance_tls(_band_entry(mu, lo, hi, fraction), nu, truncate_to=(t_lo, t_hi))
     except (ValueError, ArithmeticError):
         return
-    assert cal.dist.mu == mu and cal.dist.nu == nu
-    f = [float(cdf(cal.dist, x)) for x in (max(lo, t_lo), min(hi, t_hi), t_lo, t_hi)]
+    assert d.mu == mu and d.nu == nu
+    f = [float(cdf(d, x)) for x in (max(lo, t_lo), min(hi, t_hi), t_lo, t_hi)]
     assert abs((f[1] - f[0]) / (f[3] - f[2]) - fraction) <= 1e-6
 
 
@@ -312,7 +310,7 @@ def test_own_base_reactance_matches_rejection_sampling():
     # Kolmogorov distribution, and P(D > bound) is about 2 exp(-n bound**2) = 1e-6.
     n = 100_000
     entry = _band_target()
-    d = calibrate_reactance_tls(entry, truncate_to=(0.0, entry.summary.max)).dist
+    d, _ = calibrate_reactance_tls(entry, truncate_to=(0.0, entry.summary.max))
     rng = np.random.default_rng(20261020)
     reference = sample_stream(d, rng, n)
     while (bad := (reference <= 0.0) | (reference > entry.summary.max)).any():
@@ -360,14 +358,14 @@ class _ExtremeUniforms:
 @given(_intervals(), st.integers(0, 2**63 - 1), st.integers(1, 300), st.data())
 def test_truncated_draws_lie_inside_and_split_into_blocks(interval, seed, n, data):
     d, lo, hi = interval
-    whole = sampler._sample_truncated(d, np.random.default_rng(seed), n, lo, hi, _ENTRY)
+    whole = distributions._inverse_transform(d, np.random.default_rng(seed), n, lo, hi, "d")
     assert whole.shape == (n,) and np.all((whole > lo) & (whole <= hi))
-    ends = sampler._sample_truncated(d, _ExtremeUniforms(), 2, lo, hi, _ENTRY)
+    ends = distributions._inverse_transform(d, _ExtremeUniforms(), 2, lo, hi, "d")
     assert np.all((ends > lo) & (ends <= hi))
     # Draw i uses only the i-th uniform, so drawing in two blocks changes no bit.
     k = data.draw(st.integers(0, n))
     rng = np.random.default_rng(seed)
-    parts = [sampler._sample_truncated(d, rng, m, lo, hi, _ENTRY) for m in (k, n - k)]
+    parts = [distributions._inverse_transform(d, rng, m, lo, hi, "d") for m in (k, n - k)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -380,7 +378,7 @@ def test_a_thin_interval_names_its_entry(d, p, ulps):
     for _ in range(ulps):
         hi = math.nextafter(hi, math.inf)
     with pytest.raises(ValueError, match=r"^TransformerReactanceOwnBase at 115 kV: the interval"):
-        sampler._sample_truncated(d, np.random.default_rng(0), 10, lo, hi, _ENTRY)
+        sampler._draw(0, 10, (_ENTRY, d, lo, hi))
 
 
 # ------------------------------------------------------------------- lines
@@ -420,6 +418,65 @@ def test_default_line_reactance_mean():
     items = generate_lines(115.0, 20000, seed=42, profile=_line_profile())
     xs = np.array([it.x_pu_common for it in items])
     assert np.mean(xs <= 0.02) == pytest.approx(0.90, abs=0.01)
+
+
+# ----------------------------------------------------------- profile errors
+
+
+_K = ParameterKind
+#: (kind, entry kind, what is removed: None for the whole entry, else a field, and the message).
+_PROFILE_FAULTS = [
+    *[("transformer", k, None, f"profile lacks {k.value} for class 115 kV")
+      for k in (_K.TRANSFORMER_REACTANCE_OWN_BASE, _K.TRANSFORMER_MVA_RATING, _K.TRANSFORMER_XR)],
+    ("transformer", _K.TRANSFORMER_MVA_RATING, "fitted", "TransformerMvaRating at 115 kV needs fitted parameters"),
+    ("transformer", _K.TRANSFORMER_MVA_RATING, "min", "TransformerMvaRating at 115 kV needs a summary min"),
+    ("transformer", _K.TRANSFORMER_MVA_RATING, "max", "TransformerMvaRating at 115 kV needs a summary max"),
+    ("transformer", _K.TRANSFORMER_REACTANCE_OWN_BASE, "max",
+     "TransformerReactanceOwnBase at 115 kV needs a summary max"),
+    ("transformer", _K.TRANSFORMER_REACTANCE_OWN_BASE, "median",
+     "TransformerReactanceOwnBase at 115 kV needs a summary median"),
+    ("transformer", _K.TRANSFORMER_REACTANCE_OWN_BASE, "band", "TransformerReactanceOwnBase at 115 kV needs a band"),
+    ("transformer", _K.TRANSFORMER_XR, "fitted", "TransformerXr at 115 kV needs fitted parameters"),
+    ("transformer", _K.TRANSFORMER_XR, "max", "TransformerXr at 115 kV needs a summary max"),
+    *[("line", k, None, f"profile lacks {k.value} for class 115 kV")
+      for k in (_K.LINE_REACTANCE_COMMON_BASE, _K.LINE_CAPACITY, _K.LINE_XR)],
+    ("line", _K.LINE_CAPACITY, "fitted", "LineCapacity at 115 kV needs fitted parameters"),
+    ("line", _K.LINE_XR, "fitted", "LineXr at 115 kV needs fitted parameters"),
+]
+
+
+def _without(profile, kind, field):
+    """profile less its 115 kV entry of kind (field None), or less that entry's field."""
+    out = []
+    for e in profile:
+        if e.kind is kind and e.class_kv == 115.0:
+            if field is None:
+                continue
+            if field == "fitted":
+                e = dataclasses.replace(e, fitted=None, reference_d_kl=None)
+            elif field == "band":
+                e = dataclasses.replace(e, band=None)
+            else:
+                e = dataclasses.replace(e, summary=dataclasses.replace(e.summary, **{field: None}))
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("kind, entry_kind, field, message", _PROFILE_FAULTS,
+                         ids=[f"{k}-{e.value}-{f}" for k, e, f, _ in _PROFILE_FAULTS])
+def test_each_missing_entry_and_field_is_named(kind, entry_kind, field, message):
+    if kind == "transformer":
+        profile = _without(builtin_profile(), entry_kind, field)
+        generate = functools.partial(generate_transformers, 115.0, seed=1, profile=profile, system_mva_base=100.0)
+    else:
+        profile = _without(_line_profile(), entry_kind, field)
+        generate = functools.partial(generate_lines, 115.0, seed=1, profile=profile)
+    assert profile != (builtin_profile() if kind == "transformer" else _line_profile())
+    with pytest.raises(ValueError) as exc:
+        generate(n=10)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        generate(n=0)
 
 
 # ------------------------------------------------------------ record types
